@@ -137,16 +137,20 @@ def cmd_analyze(args) -> int:
 def _parse_degree_range(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        degrees = range(int(lo), int(hi) + 1)
+        if not degrees:
+            raise ValueError(f"empty degree range {text!r}")
+        return degrees
     return [int(text)]
 
 
 def cmd_cb(args) -> int:
+    degrees = _parse_degree_range(args.degrees)
     vf = load_variety_file(args.file)
     setup = _setup_from(vf)
     print(f"seed={args.seed}")
     bad = False
-    for a in _parse_degree_range(args.degrees):
+    for a in degrees:
         report = verify_cb_all(setup, a, budget=args.budget, seed=args.seed)
         for line in report.lines():
             print(line)

@@ -33,8 +33,6 @@ def h0(gamma: PointSet, a: int) -> int:
 
 def h1(gamma: PointSet, a: int) -> int:
     """Cokernel dimension |Gamma| - rank(e_a); the conditions-failure count."""
-    if a < 0:
-        return len(gamma)
     return len(gamma) - rank_e(gamma, a)
 
 
@@ -48,12 +46,14 @@ def hilbert_function(gamma: PointSet, a: int) -> int:
 
 
 def sigma(gamma: PointSet) -> int:
-    """Largest a with h1 > 0; -1 when conditions are independent everywhere."""
-    n = len(gamma)
-    for a in range(n - 2, -1, -1):
-        if h1(gamma, a) > 0:
-            return a
-    return -1
+    """Largest a with h1 > 0, or -1: one less than the first a of full rank
+    (a = |Gamma| - 1 at the latest for distinct points).  Rank never falls:
+    over an extension of F_q (same rank) a linear form L misses every point,
+    none need exist over F_q, and L*f in I_Gamma forces f in I_Gamma."""
+    a = 0
+    while a < len(gamma) - 1 and rank_e(gamma, a) < len(gamma):
+        a += 1
+    return a - 1
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,10 @@ class CohomologyProfile:
 
 
 def profile(gamma: PointSet, a_max: int) -> CohomologyProfile:
+    sg, n = sigma(gamma), len(gamma)
     rows = []
     for a in range(-1, a_max + 1):
         dim_ra = comb(a + gamma.m, gamma.m) if a >= 0 else 0
-        rows.append((a, dim_ra, rank_e(gamma, a), h0(gamma, a), h1(gamma, a)))
-    return CohomologyProfile(gamma, tuple(rows), sigma(gamma))
+        rk = rank_e(gamma, a) if a <= sg else n  # full rank past sigma
+        rows.append((a, dim_ra, rk, dim_ra - rk, n - rk))
+    return CohomologyProfile(gamma, tuple(rows), sg)

@@ -25,6 +25,8 @@ class FamilySpec:
 
 def _field_for(q: int) -> Field:
     """Field of order q from its prime-power factorization."""
+    if q < 2:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
     p = 2
     while q % p:
         p += 1

@@ -237,10 +237,14 @@ def _tokenize(text):
     return tokens
 
 
+MAX_NESTING = 100  # parenthesis depth; keeps the recursive descent off Python's limit
+
+
 class _Parser:
     def __init__(self, tokens, m, field):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
         self.m = m
         self.field = field
 
@@ -290,9 +294,14 @@ class _Parser:
         if tok is None:
             raise PolySyntaxError("unexpected end of expression")
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolySyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
             if self.next() != ")":
                 raise PolySyntaxError("missing closing parenthesis")
+            self.depth -= 1
             return inner
         if tok.isdigit():
             return Polynomial.constant(self.field, self.m + 1,

@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .code import build_code, min_distance
+from .code import build_code, evaluation_matrix, min_distance
 from .cohomology import h0, h1, rank_e, sigma
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
+from .linalg import rref
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,11 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = 1 << 22) -> bool:
 
 
 def is_cb_scheme(gamma: PointSet) -> bool:
-    """Dropping any one point keeps h0 in degree sigma(Gamma) unchanged."""
-    sg = sigma(gamma)
-    if sg < 0:
-        return True
-    full = h0(gamma, sg)
-    n = len(gamma)
-    for i in range(n):
-        sub = gamma.subset([j for j in range(n) if j != i])
-        if h0(sub, sg) != full:
-            return False
-    return True
+    """Dropping any one point keeps h0 in degree sigma(Gamma) unchanged: every
+    point lies in the support of a relation among the rows of e_sigma.  In the
+    RREF of the transpose every free column does, and a pivot column does iff
+    its pivot row is nonzero in a free column.  Vacuous when sigma = -1."""
+    red, pivots = rref(list(zip(*evaluation_matrix(gamma, sigma(gamma)).rows)),
+                       gamma.field)
+    free = set(range(len(gamma))) - set(pivots)
+    return all(any(row[c] for c in free) for row in red)

@@ -1,5 +1,9 @@
 """CLI integration: file parsing, reports, exit codes, byte stability."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from cicodes.cli import main
@@ -79,6 +83,15 @@ def test_parse_error_exit_2(write, capsys):
     assert code == 2
 
 
+def test_deep_nesting_exit_2(write, capsys):
+    deep = "(" * 5000 + "x0" + ")" * 5000
+    code = main(["points", write(f"field p=5 e=1\nvars m=2\npoly {deep}\npoly x1\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, ["points", "/nonexistent/path.txt"])
     assert code == 2
@@ -128,6 +141,15 @@ def test_cb_two_conic(write, capsys):
     assert len(lines) == 5
     for a, line in enumerate(lines[1:]):
         assert line == f"a={a} splits=16 exhaustive=true violations=0"
+
+
+@pytest.mark.parametrize("degrees", ["5..2", "3..2", "0..-1"])
+def test_cb_empty_degree_range_exit_2(write, capsys, degrees):
+    code = main(["cb", write(TWO_CONIC), "--degrees", degrees])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: empty degree range {degrees!r}\n"
 
 
 def test_cb_non_split_gate(write, capsys):
@@ -184,6 +206,16 @@ def test_family_hermitian(write, capsys, tmp_path):
     assert out.splitlines()[0].startswith("n=6 k=5 d=2 bound=2 singleton=2 mds=true")
 
 
+@pytest.mark.parametrize("kind", ["rm", "rs", "hermitian"])
+@pytest.mark.parametrize("q", ["1", "0", "-3"])
+def test_family_q_below_2_exit_2(capsys, kind, q):
+    code = main(["family", kind, "--q", q, "--m", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: q must be a prime power >= 2, got {q}\n"
+
+
 def test_family_unknown_kind(capsys):
     code, _ = run(capsys, ["family", "golay", "--q", "2"])
     assert code == 2
@@ -205,3 +237,26 @@ def test_reports_stable_across_runs(write, capsys):
     code1, out1 = run(capsys, ["cb", path, "--degrees", "0..3", "--seed", "0"])
     code2, out2 = run(capsys, ["cb", path, "--degrees", "0..3", "--seed", "0"])
     assert (code1, out1) == (code2, out2)
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("name, family", [
+    ("rm7_2", ["rm", "--q", "7", "--m", "2"]),
+    ("rm5_2", ["rm", "--q", "5", "--m", "2"]),
+    ("herm3", ["hermitian", "--q", "3"]),
+])
+def test_hilbert_golden(capsys, tmp_path, name, family):
+    """`hilbert` stdout matches the benchmark's recorded bytes."""
+    path = tmp_path / f"{name}.txt"
+    assert main(["family", *family, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE["corpus"][name]
+    capsys.readouterr()
+    code, out = run(capsys, ["hilbert", str(path)])
+    expected = REFERENCE["jobs"][f"hilbert {name}"]
+    assert code == expected["exit"] == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        expected["sha256"], expected["bytes"])
