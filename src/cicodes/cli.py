@@ -22,7 +22,7 @@ from .gf import field_new
 from .geometry import validate_ci, variety_points
 from .poly import parse as parse_poly, poly_text
 from .theorems import (
-    CISetup,
+    ci_setup,
     is_cb_scheme,
     verify_cb_all,
     verify_main_theorem,
@@ -71,6 +71,8 @@ def load_variety_file(path: str) -> VarietyFile:
             elif head == "vars":
                 kv = _parse_kv(rest.split())
                 m = int(kv["m"])
+                if m < 1:
+                    raise ValueError(f"vars m must be at least 1, got {m}")
             elif head == "poly":
                 poly_lines.append(rest)
             else:
@@ -79,17 +81,6 @@ def load_variety_file(path: str) -> VarietyFile:
         raise ValueError("variety file needs 'field' and 'vars' headers")
     polys = [parse_poly(text, m, field) for text in poly_lines]
     return VarietyFile(field, m, polys)
-
-
-def _setup_from(vf: VarietyFile) -> CISetup:
-    gamma = variety_points(vf.polys, vf.m, vf.field)
-    val = validate_ci(vf.polys, gamma)
-    if not val.split:
-        raise NonSplitError(val.line())
-    if not val.smooth:
-        raise NonSplitError(val.line())
-    s = sum(val.degrees) - vf.m - 1
-    return CISetup(gamma, val.degrees, s)
 
 
 def cmd_points(args) -> int:
@@ -111,19 +102,19 @@ def cmd_points(args) -> int:
 
 def cmd_analyze(args) -> int:
     vf = load_variety_file(args.file)
-    setup = _setup_from(vf)
+    setup = ci_setup(vf.polys, vf.m, vf.field)
     a = args.degree
     if not args.no_range_check and not 1 <= a <= setup.s:
         print(f"error: degree {a} outside [1, {setup.s}] "
               f"(use --no-range-check to override)", file=sys.stderr)
         return EXIT_VALIDATION
     if 1 <= a <= setup.s:
-        report = verify_main_theorem(setup, a, cap=args.cap, threads=args.threads)
+        report = verify_main_theorem(setup, a, cap=args.cap)
         print(report.line())
         code = build_code(setup.gamma, a) if args.emit_matrix else None
     else:
         code = build_code(setup.gamma, a)
-        dist = min_distance(code, cap=args.cap, threads=args.threads)
+        dist = min_distance(code, cap=args.cap)
         singleton = code.n - code.k + 1
         print(f"n={code.n} k={code.k} d={dist.d} bound={setup.s - a + 2} "
               f"singleton={singleton} mds={str(dist.d == singleton).lower()} "
@@ -146,8 +137,10 @@ def _parse_degree_range(text: str):
 
 def cmd_cb(args) -> int:
     degrees = _parse_degree_range(args.degrees)
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
-    setup = _setup_from(vf)
+    setup = ci_setup(vf.polys, vf.m, vf.field)
     print(f"seed={args.seed}")
     bad = False
     for a in degrees:
@@ -161,7 +154,7 @@ def cmd_cb(args) -> int:
 
 def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
-    setup = _setup_from(vf)
+    setup = ci_setup(vf.polys, vf.m, vf.field)
     prof = profile(setup.gamma, len(setup.gamma))
     for line in prof.lines():
         print(line)
@@ -215,7 +208,9 @@ def build_parser():
     p.add_argument("--cap", type=int, default=1 << 22)
     p.add_argument("--emit-matrix", action="store_true")
     p.add_argument("--no-range-check", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored; the search "
+                        "is single-threaded")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("cb", help="verify the Cayley-Bacharach identity over subset splits")

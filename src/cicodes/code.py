@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
@@ -16,7 +14,6 @@ from .poly import Polynomial, monomials_of_degree
 DEFAULT_CAP = 1 << 22
 
 
-@lru_cache(maxsize=None)
 def _point_row(point, a, m, field):
     """Evaluations of the degree-a graded-lex monomial basis at one point."""
     row = []
@@ -140,118 +137,52 @@ class DistanceResult:
         return f"d={self.d} exact={str(self.exact).lower()} scanned={self.codewords_scanned}"
 
 
-def _scan_lead(gen, field, lead):
-    """Minimum weight over messages whose first nonzero coordinate is at `lead`.
-
-    Messages are walked in odometer order with incremental codeword updates.
-    Returns (min weight, messages scanned).
-    """
-    k = len(gen)
-    n = len(gen[0])
+def _weights(code: EvalCode, cap: int):
+    """Weights of one nonzero codeword per projective class: for each lead,
+    the messages whose first nonzero digit is a 1 there, walked in odometer
+    order with incremental codeword updates.  First refuses when the words
+    it would visit, (q^k-1)/(q-1), exceed the cap."""
+    gen, field, n, k = code.gen, code.field, code.n, code.k
     q = field.q
+    visited = (q ** k - 1) // (q - 1)
+    if visited > cap:
+        raise CapExceededError(visited, cap)
     add = field.add
-    mul = field.mul
-    sub = field.sub
-    tail = list(range(lead + 1, k))
-    w = list(gen[lead])
-    best = n - w.count(0)
-    scanned = 1
-    if not tail:
-        return best, scanned
     # delta[j][c]: add this row vector when digit j steps from c to c+1 mod q
-    delta = {}
-    for j in tail:
-        row = gen[j]
-        delta[j] = [[mul(sub((c + 1) % q, c), g) for g in row] for c in range(q)]
-    digits = {j: 0 for j in tail}
-    total = q ** len(tail) - 1
-    for _ in range(total):
-        j = tail[-1]
-        ti = len(tail) - 1
-        while True:
-            c = digits[j]
-            dvec = delta[j][c]
-            for i in range(n):
-                w[i] = add(w[i], dvec[i])
-            if c + 1 == q:
+    delta = [[[field.mul(field.sub((c + 1) % q, c), g) for g in row]
+              for c in range(q)] for row in gen]
+    for lead in range(k):
+        w = list(gen[lead])
+        yield n - w.count(0)
+        digits = [0] * k  # message digits lead+1 .. k-1, the last one fastest
+        for _ in range(q ** (k - lead - 1) - 1):
+            j = k - 1
+            while True:
+                c = digits[j]
+                w = list(map(add, w, delta[j][c]))
+                if c + 1 < q:
+                    digits[j] = c + 1
+                    break
                 digits[j] = 0
-                ti -= 1
-                j = tail[ti]
-            else:
-                digits[j] = c + 1
-                break
-        weight = n - w.count(0)
-        if weight < best:
-            best = weight
-        scanned += 1
-    return best, scanned
+                j -= 1
+            yield n - w.count(0)
 
 
-def min_distance(code: EvalCode, cap: int = DEFAULT_CAP, threads: int = 1) -> DistanceResult:
+def min_distance(code: EvalCode, cap: int = DEFAULT_CAP) -> DistanceResult:
     """Exact minimum distance by scanning one message per projective class."""
-    field = code.field
-    q = field.q
-    required = q ** code.k - 1
-    if required > cap:
-        raise CapExceededError(required, cap)
-    leads = list(range(code.k))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda lead: _scan_lead(code.gen, field, lead), leads))
-    else:
-        results = [_scan_lead(code.gen, field, lead) for lead in leads]
-    best = min(r[0] for r in results)
-    scanned = sum(r[1] for r in results)
+    if not code.k:
+        raise ValueError("the zero code has no nonzero codeword")
+    best, scanned = code.n, 0
+    for wt in _weights(code, cap):
+        if wt < best:
+            best = wt
+        scanned += 1
     return DistanceResult(best, scanned)
 
 
 def weight_distribution(code: EvalCode, cap: int = DEFAULT_CAP):
     """Weight -> count over all nonzero codewords (scaling multiplies counts by q-1)."""
-    field = code.field
-    q = field.q
-    required = q ** code.k - 1
-    if required > cap:
-        raise CapExceededError(required, cap)
     dist = {}
-    for lead in range(code.k):
-        _weights_lead(code.gen, field, lead, dist)
-    return {wt: c * (q - 1) for wt, c in dist.items()}
-
-
-def _weights_lead(gen, field, lead, dist):
-    k = len(gen)
-    n = len(gen[0])
-    q = field.q
-    add = field.add
-    mul = field.mul
-    sub = field.sub
-    tail = list(range(lead + 1, k))
-    w = list(gen[lead])
-    wt = n - w.count(0)
-    dist[wt] = dist.get(wt, 0) + 1
-    if not tail:
-        return dist
-    delta = {}
-    for j in tail:
-        row = gen[j]
-        delta[j] = [[mul(sub((c + 1) % q, c), g) for g in row] for c in range(q)]
-    digits = {j: 0 for j in tail}
-    for _ in range(q ** len(tail) - 1):
-        j = tail[-1]
-        ti = len(tail) - 1
-        while True:
-            c = digits[j]
-            dvec = delta[j][c]
-            for i in range(n):
-                w[i] = add(w[i], dvec[i])
-            if c + 1 == q:
-                digits[j] = 0
-                ti -= 1
-                j = tail[ti]
-            else:
-                digits[j] = c + 1
-                break
-        wt = n - w.count(0)
+    for wt in _weights(code, cap):
         dist[wt] = dist.get(wt, 0) + 1
-    return dist
+    return {wt: c * (code.field.q - 1) for wt, c in dist.items()}

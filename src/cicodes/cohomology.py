@@ -16,7 +16,7 @@ from .geometry import PointSet
 from .linalg import rank as matrix_rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # a run reuses a few dozen (Gamma, degree) ranks
 def rank_e(gamma: PointSet, a: int) -> int:
     """Rank of the evaluation map e_a; 0 in negative degrees."""
     if a < 0 or not gamma.points:

@@ -28,7 +28,7 @@ def normalize_point(coords, field: Field):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Ordered distinct normalized points of P^m; hashable so ranks can be cached."""
+    """Ordered distinct normalized points of P^m."""
 
     points: tuple
     m: int

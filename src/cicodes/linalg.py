@@ -9,19 +9,18 @@ from __future__ import annotations
 from .gf import Field
 
 
-def rref(rows, field: Field):
-    """Reduced row-echelon form.
+def _eliminate(rows, field: Field, reduce: bool):
+    """Gaussian elimination: (nonzero rows, pivot columns).
 
-    Returns (reduced nonzero rows, pivot column indices).  Input rows are
-    not modified.
+    With `reduce`, each pivot clears its whole column (RREF); without it,
+    only the rows below (row-echelon form), which is enough for the rank.
     """
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         pivot = None
         for i in range(r, len(rows)):
             if rows[i][c]:
@@ -33,11 +32,12 @@ def rref(rows, field: Field):
         inv = field.inv(rows[r][c])
         if inv != 1:
             rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
+        prow = rows[r]
+        for i in range(0 if reduce else r + 1, len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+                           for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -45,32 +45,17 @@ def rref(rows, field: Field):
     return rows[:r], pivots
 
 
+def rref(rows, field: Field):
+    """Reduced row-echelon form.
+
+    Returns (reduced nonzero rows, pivot column indices).  Input rows are
+    not modified.
+    """
+    return _eliminate(rows, field, reduce=True)
+
+
 def rank(rows, field: Field) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        prow = rows[r] = [field.mul(inv, x) for x in rows[r]] if inv != 1 else rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], prow)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(_eliminate(rows, field, reduce=False)[1])
 
 
 def nullspace(rows, field: Field, ncols=None):

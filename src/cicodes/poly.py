@@ -238,6 +238,7 @@ def _tokenize(text):
 
 
 MAX_NESTING = 100  # parenthesis depth; keeps the recursive descent off Python's limit
+MAX_TERM_PAIRS = 10 ** 5  # term products in one multiplication; bounds parse time
 
 
 class _Parser:
@@ -272,7 +273,7 @@ class _Parser:
         result = self.factor()
         while self.peek() == "*":
             self.next()
-            result = result * self.factor()
+            result = self.mul(result, self.factor())
         return result
 
     def factor(self):
@@ -282,12 +283,22 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise PolySyntaxError("exponent must be a non-negative integer")
-            k = int(tok)
             result = Polynomial.constant(self.field, self.m + 1, 1)
-            for _ in range(k):
-                result = result * base
+            for bit in bin(int(tok))[2:]:  # square-and-multiply
+                result = self.mul(result, result)
+                if bit == "1":
+                    result = self.mul(result, base)
             return result
         return base
+
+    @staticmethod
+    def mul(left, right):
+        pairs = len(left.terms) * len(right.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise PolySyntaxError(
+                f"product of {len(left.terms)} and {len(right.terms)} terms "
+                f"exceeds {MAX_TERM_PAIRS} term pairs")
+        return left * right
 
     def atom(self):
         tok = self.next()

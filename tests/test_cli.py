@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,33 @@ def test_deep_nesting_exit_2(write, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_huge_monomial_exponent_parses_fast(write, capsys):
+    path = write("field p=5 e=1\nvars m=1\npoly x0^2000000 - x1^2000000\n")
+    start = time.perf_counter()
+    code, out = run(capsys, ["points", path])
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    assert out.splitlines()[-1].startswith("expected=2000000 found=4 ")
+
+
+def test_huge_power_of_sum_exit_2(write, capsys):
+    code = main(["points", write("field p=5 e=1\nvars m=1\npoly (x0 + x1)^2000000\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: product of ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_vars_below_1_exit_2(write, capsys, m):
+    code = main(["points", write(f"field p=5 e=1\nvars m={m}\npoly x0\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: vars m must be at least 1, got {m}\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, ["points", "/nonexistent/path.txt"])
     assert code == 2
@@ -123,9 +151,34 @@ def test_analyze_range_check(write, capsys):
     assert "k=1" in out
 
 
+def test_analyze_zero_code_exit_2(write, capsys):
+    code = main(["analyze", write(RM3), "--degree", "-1", "--no-range-check"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: the zero code has no nonzero codeword\n"
+
+
 def test_analyze_cap_exceeded(write, capsys):
     code, _ = run(capsys, ["analyze", write(RM3), "--degree", "3", "--cap", "10"])
     assert code == 3
+
+
+def test_analyze_cap_0_exit_3(write, capsys):
+    code = main(["analyze", write(TWO_CONIC), "--degree", "1", "--cap", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: enumeration needs 31 words, cap is 0\n"
+
+
+@pytest.mark.parametrize("command", [["analyze", "--degree", "1"],
+                                     ["cb", "--degrees", "0"], ["hilbert"]])
+def test_non_split_message(write, capsys, command):
+    code = main([command[0], write(NON_SPLIT), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: not a split smooth complete intersection "
+                            "(expected=4 found=1 split=false smooth=false)\n")
 
 
 def test_analyze_non_split(write, capsys):
@@ -150,6 +203,15 @@ def test_cb_empty_degree_range_exit_2(write, capsys, degrees):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: empty degree range {degrees!r}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cb_budget_below_1_exit_2(write, capsys, budget):
+    code = main(["cb", write(TWO_CONIC), "--degrees", "1", "--budget", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
 
 
 def test_cb_non_split_gate(write, capsys):

@@ -226,7 +226,17 @@ def test_cap_exceeded(f3):
     code = build_code(pts, 3)  # k = 8
     with pytest.raises(CapExceededError) as exc:
         min_distance(code, cap=100)
-    assert exc.value.required == 3 ** 8 - 1
+    assert exc.value.required == (3 ** 8 - 1) // 2  # one word per projective class
+
+
+def test_cap_counts_visited_words(f3):
+    code = build_code(rm3_points(f3), 3)  # k = 8
+    visited = (3 ** 8 - 1) // 2  # below q^k - 1, so this cap used to refuse
+    assert min_distance(code, cap=visited).codewords_scanned == visited
+    assert sum(weight_distribution(code, cap=visited).values()) == 3 ** 8 - 1
+    with pytest.raises(CapExceededError) as exc:
+        weight_distribution(code, cap=visited - 1)
+    assert exc.value.required == visited
 
 
 def test_singleton_bound(corpus):
@@ -237,14 +247,6 @@ def test_singleton_bound(corpus):
                 continue
             d = min_distance(code).d
             assert 1 <= d <= code.n - code.k + 1
-
-
-def test_threads_match_single(f3):
-    pts = rm3_points(f3)
-    code = build_code(pts, 2)
-    r1 = min_distance(code, threads=1)
-    r4 = min_distance(code, threads=4)
-    assert r1 == r4
 
 
 def test_f0_independence_of_weights(corpus):
