@@ -19,7 +19,7 @@ from .code import build_code, min_distance
 from .cohomology import profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
-from .geometry import validate_ci, variety_points
+from .geometry import check_space, validate_ci, variety_points
 from .poly import parse as parse_poly, poly_text
 from .theorems import (
     ci_setup,
@@ -79,6 +79,7 @@ def load_variety_file(path: str) -> VarietyFile:
                 raise ValueError(f"unknown directive {head!r}")
     if field is None or m is None:
         raise ValueError("variety file needs 'field' and 'vars' headers")
+    check_space(m, field.q)  # a parsed term holds m + 1 exponents
     polys = [parse_poly(text, m, field) for text in poly_lines]
     return VarietyFile(field, m, polys)
 

@@ -8,7 +8,7 @@ from math import comb
 
 from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
 from .geometry import PointSet
-from .linalg import nullspace, rank as matrix_rank, rref
+from .linalg import nullspace, rref
 from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_CAP = 1 << 22
@@ -53,15 +53,8 @@ def evaluation_matrix(gamma: PointSet, a: int) -> EvalMatrix:
 
 def rank_and_kernel(matrix: EvalMatrix):
     """Rank of e_a plus a basis of its kernel (degree-a piece of the ideal)."""
-    if not matrix.rows:
-        basis = []
-        for i in range(matrix.ncols):
-            v = [0] * matrix.ncols
-            v[i] = 1
-            basis.append(v)
-        return 0, basis
-    r = matrix_rank(matrix.rows, matrix.field)
-    return r, nullspace(matrix.rows, matrix.field, matrix.ncols)
+    kernel = nullspace(matrix.rows, matrix.field, matrix.ncols)
+    return matrix.ncols - len(kernel), kernel
 
 
 def choose_f0(gamma: PointSet, a: int, seed: int = 0, trials: int = 10000) -> Polynomial:

@@ -54,12 +54,21 @@ class PointSet:
                         self.m, self.field)
 
 
+def check_space(m: int, q: int) -> None:
+    """Refuse a P^m(F_q) of more than MAX_POINTS points, summing 1 + q + ...
+    + q^m only until the sum passes the limit, so a huge m costs nothing."""
+    total, term = 0, 1
+    for _ in range(m + 1):
+        total += term
+        if total > MAX_POINTS:
+            raise SpaceTooLargeError(f"P^{m}(F_{q}) has more than {MAX_POINTS} points")
+        term *= q
+
+
 def enumerate_projective(m: int, field: Field) -> PointSet:
     """All points of P^m(F_q) in lexicographic order of normalized encodings."""
     q = field.q
-    total = (q ** (m + 1) - 1) // (q - 1)
-    if total > MAX_POINTS:
-        raise SpaceTooLargeError(f"P^{m}(F_{q}) has {total} points")
+    check_space(m, q)
     points = []
     # First nonzero coordinate is 1 at position `lead`; lex order on the
     # full coordinate tuple means larger lead (more leading zeros) sorts first.

@@ -101,6 +101,8 @@ class Field:
     """Immutable F_q descriptor plus table-driven arithmetic."""
 
     def __init__(self, p: int, e: int, modulus=None):
+        if p > MAX_Q or e > 16:  # too large for any prime, so p is not tested
+            raise FieldTooLargeError(f"q = {p}^{e} exceeds {MAX_Q}")
         if not _is_prime(p):
             raise NotPrimeError(f"p={p} is not prime")
         if e < 1:

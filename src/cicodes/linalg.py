@@ -9,69 +9,58 @@ from __future__ import annotations
 from .gf import Field
 
 
-def _eliminate(rows, field: Field, reduce: bool):
-    """Gaussian elimination: (nonzero rows, pivot columns).
-
-    With `reduce`, each pivot clears its whole column (RREF); without it,
-    only the rows below (row-echelon form), which is enough for the rank.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    pivots = []
-    r = 0
-    for c in range(len(rows[0])):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(0 if reduce else r + 1, len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def rref(rows, field: Field):
-    """Reduced row-echelon form.
-
-    Returns (reduced nonzero rows, pivot column indices).  Input rows are
-    not modified.
-    """
-    return _eliminate(rows, field, reduce=True)
+def insert(basis, row, field: Field) -> bool:
+    """Reduce `row` against an echelon basis and append it if it stays
+    nonzero; returns whether the basis grew.  The basis is a list of (pivot
+    column, monic row) whose rows vanish before their pivots and at the
+    pivots of earlier entries, so one pass clears every pivot of `row`."""
+    add, mul = field.add, field.mul
+    row = list(row)
+    for c, prow in basis:
+        if row[c]:
+            f = field.neg(row[c])  # x - r*y as x + (-r)*y: one neg per row
+            row[c:] = [add(x, mul(f, y)) for x, y in zip(row[c:], prow[c:])]
+    for c, x in enumerate(row):
+        if x:
+            if x != 1:
+                inv = field.inv(x)
+                row[c:] = [mul(inv, y) for y in row[c:]]
+            basis.append((c, row))
+            return True
+    return False
 
 
 def rank(rows, field: Field) -> int:
-    return len(_eliminate(rows, field, reduce=False)[1])
+    """Rank as the size of the echelon basis the rows insert into."""
+    basis = []
+    for row in rows:
+        insert(basis, row, field)
+    return len(basis)
+
+
+def rref(rows, field: Field):
+    """Reduced row-echelon form: (reduced nonzero rows, pivot columns).  The
+    echelon basis of the rows, inserted again last pivot first: each row then
+    loses the later pivots and already vanishes at the earlier ones."""
+    basis = []
+    for row in rows:
+        insert(basis, row, field)
+    reduced = []
+    for _, row in sorted(basis, reverse=True):  # pivots are distinct
+        insert(reduced, row, field)
+    reduced.reverse()
+    return [row for _, row in reduced], [c for c, _ in reduced]
 
 
 def nullspace(rows, field: Field, ncols=None):
     """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    if not rows:
-        return []  # caller must handle the trivial full kernel separately
-    ncols = len(rows[0]) if ncols is None else ncols
+    ncols = len(rows[0]) if ncols is None else ncols  # required when rows is empty
     red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            # pivot row: x_pc + sum over free cols = 0
-            v[pc] = field.neg(red[ri][fc])
+        for row, pc in zip(red, pivots):
+            v[pc] = field.neg(row[fc])  # pivot row: x_pc + sum over free cols = 0
         basis.append(v)
     return basis

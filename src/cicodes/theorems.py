@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .code import build_code, evaluation_matrix, min_distance
 from .cohomology import h0, h1, rank_e, sigma
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
-from .linalg import rank, rref
+from .linalg import insert, rank, rref
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,17 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     """Check the identity over all subset splits, or a seeded sample when
     2^n exceeds the budget (always including sizes 0, 1, n-1, n).
 
-    Each split is two ranks of point rows built once: with Gamma' the points
-    in the mask and Gamma'' the rest, lhs = rank e_a(Gamma) - rank e_a(Gamma')
-    and rhs = |Gamma''| - rank e_{s-a}(Gamma''), which is what `cb_identity`
-    computes (a row of a negative degree is empty, so its rank is 0)."""
+    With Gamma' the points in the mask and Gamma'' the rest, lhs = rank
+    e_a(Gamma) - rank e_a(Gamma') and rhs = |Gamma''| - rank e_{s-a}(Gamma''),
+    as in `cb_identity`.  The sorted masks are walked as the leaves of a
+    binary trie on bits n-1 .. 0 with two echelon bases, of the degree-a rows
+    of Gamma' and the degree-(s-a) rows of Gamma'': a mask keeps the rows of
+    the high bits it shares with the one before and inserts one per other bit."""
     n = setup.n
     total = 1 << n
-    if total <= budget:
-        masks = range(total)
-        exhaustive = True
-    else:
+    exhaustive = total <= budget
+    masks = range(total)  # walked lazily, never listed
+    if not exhaustive:
         rng = random.Random(seed)
         picked = {0, total - 1}
         for i in range(n):
@@ -98,35 +98,58 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
         while len(picked) < budget:
             picked.add(rng.randrange(total))
         masks = sorted(picked)
-        exhaustive = False
     field = setup.gamma.field
-    rows_a = evaluation_matrix(setup.gamma, a).rows
-    rows_b = evaluation_matrix(setup.gamma, setup.s - a).rows
-    full = rank(rows_a, field)
-    violations = []
+    rows = (evaluation_matrix(setup.gamma, setup.s - a).rows,  # bit clear
+            evaluation_matrix(setup.gamma, a).rows)            # bit set
+    caps = tuple(rank(r, field) for r in rows)  # no subset's rank exceeds these
+    bases, violations = ([], []), []
+    levels = []  # per decided bit from n-1 down: (its basis, size before it)
     for mask in masks:
-        inside = [row for i, row in enumerate(rows_a) if mask >> i & 1]
-        outside = [row for i, row in enumerate(rows_b) if not mask >> i & 1]
-        lhs = full - rank(inside, field)
-        rhs = len(outside) - rank(outside, field)
+        keep = n - (mask ^ prev).bit_length() if levels else 0  # shared bits
+        for basis, size in levels[keep:]:
+            del basis[size:]  # pop what the unshared bits inserted
+        del levels[keep:]
+        for b in range(n - 1 - keep, -1, -1):
+            side = mask >> b & 1
+            basis = bases[side]
+            levels.append((basis, len(basis)))
+            if len(basis) < caps[side]:
+                insert(basis, rows[side][b], field)
+        lhs = caps[1] - len(bases[1])
+        rhs = n - mask.bit_count() - len(bases[0])
         if lhs != rhs:
             violations.append((mask, lhs, rhs))
+        prev = mask
     return CBReport(a, len(masks), tuple(violations), exhaustive, seed)
+
+
+def _every_subset_has_rank(rows, size, target, field) -> bool:
+    """Whether the rows at each `size` indices have rank `target`, which no
+    subset exceeds (vacuous if size > n; size < 0 counts as 0), by a
+    depth-first walk of the combinations with one row insert per node: a
+    prefix at `target` passes its subtree, one that cannot reach it fails."""
+    basis, todo = [], [(-1, 0, 0)]  # (row to insert, rows taken, basis size before)
+    while todo:
+        i, taken, keep = todo.pop()
+        del basis[keep:]  # back to the parent's rows
+        if i >= 0:
+            insert(basis, rows[i], field)
+        if len(basis) == target:
+            continue
+        if len(basis) + size - taken < target:
+            return False
+        todo.extend((j, taken + 1, len(basis))
+                    for j in range(len(rows) - size + taken, i, -1))
+    return True
 
 
 def verify_projection_injectivity(setup: CISetup, a: int) -> bool:
     """Puncturing to any Gamma' with |Gamma'| >= n - (s-a+1) keeps h0 fixed,
     which is exactly injectivity of the projection of codewords."""
-    n = setup.n
-    size = n - (setup.s - a + 1)
-    if size > n:
-        return True  # nothing to delete: vacuous
-    size = max(size, 0)
-    full = h0(setup.gamma, a)
-    for combo in combinations(range(n), size):
-        if h0(setup.gamma.subset(combo), a) != full:
-            return False
-    return True
+    rows = evaluation_matrix(setup.gamma, a).rows
+    field = setup.gamma.field
+    size = setup.n - (setup.s - a + 1)
+    return _every_subset_has_rank(rows, size, rank(rows, field), field)
 
 
 def hansen_bound(setup: CISetup, a: int) -> int:
@@ -178,14 +201,10 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = 1 << 22) -> bool:
     """Exact MDS status must agree with universal vanishing of
     h1(Gamma'', s-a) over all subsets of size h1(Gamma, a)."""
     code = build_code(setup.gamma, a)
-    dist = min_distance(code, cap=cap)
-    mds_exact = dist.d == code.n - code.k + 1
+    mds_exact = min_distance(code, cap=cap).d == code.n - code.k + 1
     size = h1(setup.gamma, a)
-    j = setup.s - a
-    vanishes = all(
-        h1(setup.gamma.subset(combo), j) == 0
-        for combo in combinations(range(setup.n), size))
-    return mds_exact == vanishes
+    rows = evaluation_matrix(setup.gamma, setup.s - a).rows
+    return mds_exact == _every_subset_has_rank(rows, size, size, setup.gamma.field)
 
 
 def is_cb_scheme(gamma: PointSet) -> bool:

@@ -120,6 +120,26 @@ def test_vars_below_1_exit_2(write, capsys, m):
     assert captured.err == f"error: vars m must be at least 1, got {m}\n"
 
 
+@pytest.mark.parametrize("header, message", [
+    ("field p=1000000000000000000000007 e=1\nvars m=2",
+     "q = 1000000000000000000000007^1 exceeds 65536"),
+    ("field p=5 e=100000000000\nvars m=2", "q = 5^100000000000 exceeds 65536"),
+    ("field p=5 e=1\nvars m=1000000000",
+     "P^1000000000(F_5) has more than 10000000 points"),
+    ("field p=5 e=1\nvars m=100000", "P^100000(F_5) has more than 10000000 points"),
+])
+def test_huge_header_exit_2(write, capsys, header, message):
+    """Refused from the header alone, before a primality test, a power of p
+    or a parsed term of m + 1 exponents."""
+    start = time.perf_counter()
+    code = main(["points", write(f"{header}\npoly x0\npoly x1 - x0\n")])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, ["points", "/nonexistent/path.txt"])
     assert code == 2
@@ -318,6 +338,29 @@ def test_hilbert_golden(capsys, tmp_path, name, family):
     capsys.readouterr()
     code, out = run(capsys, ["hilbert", str(path)])
     expected = REFERENCE["jobs"][f"hilbert {name}"]
+    assert code == expected["exit"] == 0
+    data = out.encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+        expected["sha256"], expected["bytes"])
+
+
+@pytest.mark.parametrize("name, family, args", [
+    ("rm3_2", ["rm", "--q", "3", "--m", "2"], ["--degrees", "0..3"]),
+    ("herm3", ["hermitian", "--q", "3"],
+     ["--degrees", "3", "--budget", "2000", "--seed", "{seed}"]),
+    ("rm4_2", ["rm", "--q", "4", "--m", "2"], ["--degrees", "2"]),
+])
+def test_cb_golden(capsys, tmp_path, name, family, args):
+    """`cb` stdout matches the benchmark's recorded bytes (the sampled job at
+    the recorded seed)."""
+    path = tmp_path / f"{name}.txt"
+    assert main(["family", *family, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE["corpus"][name]
+    capsys.readouterr()
+    seed = str(REFERENCE["seed"])
+    code, out = run(capsys, ["cb", str(path),
+                             *(arg.replace("{seed}", seed) for arg in args)])
+    expected = REFERENCE["jobs"][" ".join(["cb", name, *args])]
     assert code == expected["exit"] == 0
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (

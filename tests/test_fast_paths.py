@@ -1,9 +1,12 @@
 """Differential checks against the straightforward definitions: the upward
 sigma scan, the truncated profile, the one-elimination CB-scheme test, the
-CB sweep over shared point rows, forward-only rank, and the minimum distance
-folded over the codeword odometer."""
+CB sweep and the combination walks over incremental echelon bases, rank and
+RREF by row insertion, and the minimum distance folded over the codeword
+odometer."""
 
 import random
+import sys
+from itertools import combinations
 from math import comb
 
 from hypothesis import example, given, settings, strategies as st
@@ -22,13 +25,15 @@ from cicodes import (
     rank_e,
     sigma,
     verify_cb_all,
+    verify_mds_corollary,
+    verify_projection_injectivity,
     weight_distribution,
 )
 from cicodes.geometry import enumerate_projective
 from cicodes.linalg import rank, rref
 
 PLANES = {q: enumerate_projective(2, field_new(p, e))
-          for q, p, e in ((5, 5, 1), (9, 3, 2))}
+          for q, p, e in ((4, 2, 2), (5, 5, 1), (9, 3, 2))}
 
 
 def sigma_reference(gamma):
@@ -123,7 +128,7 @@ NOT_CI_LINE = (LINE_AT_INFINITY[:4], 1, 0)
 
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from(sorted(PLANES)),
-       picks=st.lists(st.integers(0, 90), unique=True, max_size=8),
+       picks=st.lists(st.integers(0, 90), unique=True, max_size=12),
        s=st.integers(-2, 6), a=st.integers(-2, 9),
        budget=st.sampled_from([1, 7, 40, 1000]), seed=st.integers(0, 3))
 @example(q=5, picks=TWO_CONICS, s=1, a=0, budget=1000, seed=0)
@@ -131,6 +136,9 @@ NOT_CI_LINE = (LINE_AT_INFINITY[:4], 1, 0)
 @example(q=5, picks=[], s=0, a=1, budget=1, seed=0)
 @example(q=5, picks=NOT_CI_LINE[0], s=NOT_CI_LINE[1], a=NOT_CI_LINE[2],
          budget=1000, seed=0)
+@example(q=4, picks=list(range(0, 18, 2)), s=2, a=1, budget=1000, seed=0)  # F_4
+@example(q=9, picks=list(range(12)), s=3, a=1, budget=1000, seed=2)  # deep prefixes
+@example(q=5, picks=GRID_3X3 + [0], s=3, a=2, budget=7, seed=3)  # budget < 2n+2
 def test_cb_sweep_matches_per_split_identity(q, picks, s, a, budget, seed):
     space = PLANES[q]
     setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
@@ -144,6 +152,58 @@ def test_cb_sweep_examples_have_violations():
     assert verify_cb_all(setup, a).violations
 
 
+def test_cb_sweep_deeper_than_recursion_limit():
+    """The walk keeps its own stack: n points nest n levels deep."""
+    gamma = enumerate_projective(2, field_new(37, 1))
+    n = len(gamma)
+    assert n > sys.getrecursionlimit()
+    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1)
+    # In degree 0 only the empty mask and the single points miss the identity.
+    assert report.splits_checked == 2 * n + 2
+    assert report.violations == ((0, 1, n - 1),) + tuple(
+        (1 << i, 0, n - 2) for i in range(n))
+
+
+def projection_injectivity_reference(setup, a):
+    """h0 in degree a of every subset of n - (s-a+1) points, one by one."""
+    n = setup.n
+    size = n - (setup.s - a + 1)
+    if size > n:
+        return True
+    full = h0(setup.gamma, a)
+    return all(h0(setup.gamma.subset(combo), a) == full
+               for combo in combinations(range(n), max(size, 0)))
+
+
+def mds_corollary_reference(setup, a):
+    """h1 in degree s-a of every subset of h1(Gamma, a) points, one by one."""
+    code = build_code(setup.gamma, a)
+    mds_exact = min_distance(code).d == code.n - code.k + 1
+    vanishes = all(h1(setup.gamma.subset(combo), setup.s - a) == 0
+                   for combo in combinations(range(setup.n), h1(setup.gamma, a)))
+    return mds_exact == vanishes
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from(sorted(PLANES)),
+       picks=st.lists(st.integers(0, 90), unique=True, max_size=6),
+       s=st.integers(-2, 6), a=st.integers(-2, 5))
+@example(q=5, picks=TWO_CONICS, s=1, a=1)
+@example(q=5, picks=GRID_3X3[:6], s=3, a=2)
+@example(q=4, picks=[0, 1, 2, 5, 9], s=2, a=0)
+@example(q=5, picks=[], s=0, a=0)
+@example(q=5, picks=[10, 18, 21, 29], s=1, a=1)  # fails only with the last point
+@example(q=5, picks=[0, 2, 10, 13, 20, 24], s=2, a=1)  # likewise for the MDS side
+def test_combination_walks_match_reference(q, picks, s, a):
+    space = PLANES[q]
+    picks = picks[:6 if q != 9 else 4]  # at most 5^6 or 9^4 codewords
+    setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
+    assert verify_projection_injectivity(setup, a) == \
+        projection_injectivity_reference(setup, a)
+    if picks and a >= 0:  # else the code is zero and has no distance
+        assert verify_mds_corollary(setup, a) == mds_corollary_reference(setup, a)
+
+
 FIELDS = {q: field_new(p, e) for q, p, e in ((2, 2, 1), (4, 2, 2), (5, 5, 1), (9, 3, 2))}
 
 
@@ -155,11 +215,41 @@ def matrices(draw):
     return field, draw(st.lists(row, max_size=6))
 
 
+def rref_reference(rows, field):
+    """Gauss-Jordan: each pivot in turn clears its whole column."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_rank_is_rref_pivot_count(case):
     field, rows = case
     assert rank(rows, field) == len(rref(rows, field)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_gauss_jordan(case):
+    field, rows = case
+    snapshot = [list(row) for row in rows]
+    assert rref(rows, field) == rref_reference(rows, field)
+    assert rows == snapshot  # inputs are not modified
 
 
 @settings(max_examples=60, deadline=None)
