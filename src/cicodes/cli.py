@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 parse error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import families
@@ -52,6 +53,17 @@ def _parse_kv(parts):
     return out
 
 
+def _header_int(key, value):
+    """A header integer; a missing, non-integer or over-long value (more digits
+    than Python 3.11+ converts by default) raises a one-line ValueError."""
+    if value is None:
+        raise ValueError(f"missing {key}=<integer>")
+    if not re.fullmatch(r"[+-]?\d{1,4300}", value):
+        shown = repr(value[:20]) + ("..." if len(value) > 20 else "")
+        raise ValueError(f"{key}={shown} is not an integer of at most 4300 digits")
+    return int(value)
+
+
 def load_variety_file(path: str) -> VarietyFile:
     field = None
     m = None
@@ -66,11 +78,13 @@ def load_variety_file(path: str) -> VarietyFile:
                 kv = _parse_kv(rest.split())
                 modulus = None
                 if "modulus" in kv:
-                    modulus = [int(c) for c in kv["modulus"].split(",")]
-                field = field_new(int(kv["p"]), int(kv["e"]), modulus)
+                    modulus = [_header_int("modulus", c)
+                               for c in kv["modulus"].split(",")]
+                field = field_new(_header_int("p", kv.get("p")),
+                                  _header_int("e", kv.get("e")), modulus)
             elif head == "vars":
                 kv = _parse_kv(rest.split())
-                m = int(kv["m"])
+                m = _header_int("m", kv.get("m"))
                 if m < 1:
                     raise ValueError(f"vars m must be at least 1, got {m}")
             elif head == "poly":

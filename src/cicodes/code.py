@@ -43,7 +43,7 @@ class EvalMatrix:
 
     @property
     def ncols(self):
-        return comb(self.degree + self.m, self.m)
+        return comb(self.degree + self.m, self.m) if self.degree >= 0 else 0
 
 
 def evaluation_matrix(gamma: PointSet, a: int) -> EvalMatrix:

@@ -2,8 +2,8 @@
 
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
-i.e. x = sum c_i * w^i.  Multiplication and inversion go through
-precomputed log/antilog tables; addition is digitwise mod p.
+i.e. x = sum c_i * w^i.  Multiplication, inversion, powers and negation
+are lookups in log/antilog tables; addition is digitwise mod p.
 """
 
 from __future__ import annotations
@@ -169,23 +169,15 @@ class Field:
         return self.encode(rem)
 
     def _build_tables(self):
+        """One walk: exp lists the powers of the first g = 1, 2, ... of order q - 1."""
         q = self.q
-        if q == 2:
-            g = 1
-        else:
-            g = None
-            for cand in range(2, q):
-                x, order = cand, 1
-                while x != 1:
-                    x = self._mul_slow(x, cand)
-                    order += 1
-                if order == q - 1:
-                    g = cand
-                    break
-            assert g is not None
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._mul_slow(exp[i - 1], g)
+        for g in range(1, q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_slow(x, g)
+            if len(exp) == q - 1:
+                break
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -215,13 +207,9 @@ class Field:
         return x
 
     def neg(self, a: int) -> int:
-        p = self.p
-        x, shift = 0, 1
-        while a:
-            x += (-a % p) * shift
-            a //= p
-            shift *= p
-        return x
+        if a == 0 or self.p == 2:  # otherwise -1 = g^((q-1)/2)
+            return a
+        return self._exp[(self._log[a] + (self.q - 1) // 2) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -240,17 +228,12 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a = self.inv(a)
-            n = -n
-        result = 1
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        """a^n for any integer n: a multiple of log a (0^0 = 1)."""
+        if a == 0:
+            if n < 0:
+                self.inv(a)  # raises DivisionByZeroError
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def from_int(self, n: int) -> int:
         """Reduce an integer literal into F_q (image of n under Z -> F_p <= F_q)."""

@@ -164,21 +164,7 @@ class Polynomial:
     # -- display --
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, key=lambda e: (sum(e),) + tuple(-x for x in e)):
-            coef = self.terms[expo]
-            factors = []
-            if coef != 1 or not any(expo):
-                factors.append(str(coef))
-            for i, k in enumerate(expo):
-                if k == 1:
-                    factors.append(f"x{i}")
-                elif k > 1:
-                    factors.append(f"x{i}^{k}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return poly_text(self)
 
 
 def poly_text(poly: Polynomial) -> str:

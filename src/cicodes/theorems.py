@@ -183,7 +183,7 @@ def verify_main_theorem(setup: CISetup, a: int, cap: int = 1 << 22) -> BoundRepo
     dist = min_distance(code, cap=cap)
     singleton = code.n - code.k + 1
     mds = dist.d == singleton
-    mds_sufficient = setup.s - a >= h1(setup.gamma, a) - 1
+    mds_sufficient = setup.s - a >= code.n - code.k - 1  # h1(Gamma, a) = n - k
     return BoundReport(a, code.n, code.k, dist.d, bound, singleton,
                        mds, mds_sufficient)
 
@@ -202,7 +202,7 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = 1 << 22) -> bool:
     h1(Gamma'', s-a) over all subsets of size h1(Gamma, a)."""
     code = build_code(setup.gamma, a)
     mds_exact = min_distance(code, cap=cap).d == code.n - code.k + 1
-    size = h1(setup.gamma, a)
+    size = code.n - code.k  # h1(Gamma, a)
     rows = evaluation_matrix(setup.gamma, setup.s - a).rows
     return mds_exact == _every_subset_has_rank(rows, size, size, setup.gamma.field)
 

@@ -140,6 +140,33 @@ def test_huge_header_exit_2(write, capsys, header, message):
     assert captured.err == f"error: {message}\n"
 
 
+LONG = "9" * 5000  # more digits than Python 3.11+ converts by default
+
+
+@pytest.mark.parametrize("header, message", [
+    pytest.param(f"field p={LONG} e=1\nvars m=2",
+                 "p='99999999999999999999'... is not an integer of at most "
+                 "4300 digits", id="long-p"),
+    pytest.param(f"field p=5 e=1\nvars m={LONG}",
+                 "m='99999999999999999999'... is not an integer of at most "
+                 "4300 digits", id="long-m"),
+    pytest.param("field p=abc e=1\nvars m=2",
+                 "p='abc' is not an integer of at most 4300 digits", id="p-abc"),
+    pytest.param("field p=3 e=2 modulus=2,x,1\nvars m=2",
+                 "modulus='x' is not an integer of at most 4300 digits",
+                 id="modulus-x"),
+    pytest.param("field e=1\nvars m=2", "missing p=<integer>", id="no-p"),
+    pytest.param("field p=5\nvars m=2", "missing e=<integer>", id="no-e"),
+    pytest.param("field p=5 e=1\nvars n=1", "missing m=<integer>", id="no-m"),
+])
+def test_bad_header_integer_exit_2(write, capsys, header, message):
+    code = main(["points", write(f"{header}\npoly x0\npoly x1 - x0\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, ["points", "/nonexistent/path.txt"])
     assert code == 2
@@ -172,10 +199,12 @@ def test_analyze_range_check(write, capsys):
 
 
 def test_analyze_zero_code_exit_2(write, capsys):
-    code = main(["analyze", write(RM3), "--degree", "-1", "--no-range-check"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == "error: the zero code has no nonzero codeword\n"
+    """Every negative degree gives the zero code, also below -m."""
+    for degree in ["-1", "-3", "-5"]:
+        code = main(["analyze", write(RM3), "--degree", degree, "--no-range-check"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: the zero code has no nonzero codeword\n"
 
 
 def test_analyze_cap_exceeded(write, capsys):

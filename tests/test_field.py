@@ -55,6 +55,10 @@ def oracle_add(field, a, b):
     return x
 
 
+def oracle_neg(field, a):
+    return field.encode(-c for c in field.coeffs(a))
+
+
 def test_default_modulus_f5():
     f = field_new(5, 1)
     assert f.modulus == (0, 1)
@@ -121,10 +125,12 @@ def test_mul_matches_oracle(p, e):
             assert f.mul(a, b) == oracle_mul(f, a, b)
 
 
-@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+@pytest.mark.parametrize("p,e", SMALL_FIELDS + [(3, 6)])  # 3^6 > 512: digit add
 def test_add_matches_oracle(p, e):
     f = field_new(p, e)
     step = max(1, f.q // 16)
+    for a in range(f.q):
+        assert f.neg(a) == oracle_neg(f, a)
     for a in range(0, f.q, step):
         for b in range(0, f.q, step):
             assert f.add(a, b) == oracle_add(f, a, b)
@@ -174,15 +180,28 @@ def test_multiplicative_group_cyclic(p, e):
         x = f.mul(x, g)
     assert x == 1
     assert len(seen) == f.q - 1
+    for y in range(1, g):  # g is the smallest element of order q - 1
+        x, order = y, 1
+        while x != 1:
+            x, order = f.mul(x, y), order + 1
+        assert order < f.q - 1
 
 
 def test_pow_square_and_multiply_consistency():
+    """pow agrees with repeated mul, for n >= q and negative n too."""
+    for p, e in [(3, 2), (2, 4), (7, 1)]:
+        f = field_new(p, e)
+        for x in range(1, f.q):
+            for base, sign in ((x, 1), (f.inv(x), -1)):
+                acc = 1
+                for n in range(2 * f.q + 2):
+                    assert f.pow(x, sign * n) == acc
+                    acc = f.mul(acc, base)
     f = field_new(3, 2)
-    for x in range(1, f.q):
-        acc = 1
-        for n in range(12):
-            assert f.pow(x, n) == acc
-            acc = f.mul(acc, x)
+    assert f.pow(0, 0) == 1
+    assert f.pow(0, 5) == 0
+    with pytest.raises(DivisionByZeroError):
+        f.pow(0, -1)
 
 
 def test_encoding_roundtrip():

@@ -171,6 +171,7 @@ def test_poly_text_roundtrip():
     f9 = field_new(3, 2)
     p = Polynomial(f9, 3, {(2, 0, 0): 5, (0, 1, 1): 1, (0, 0, 2): 7})
     assert parse(poly_text(p), 2, f9) == p
+    assert parse(repr(p), 2, f9) == p  # repr spells coefficients >= p in w
     f5 = field_new(5, 1)
     p = parse("x1^2 - x0^2", 2, f5)
     assert parse(poly_text(p), 2, f5) == p
