@@ -8,7 +8,6 @@ from .geometry import (
     CIValidation,
     PointSet,
     enumerate_projective,
-    normalize_point,
     validate_ci,
     variety_points,
 )

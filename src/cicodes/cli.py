@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from math import comb
 
 from . import families
 from .code import build_code, min_distance
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+
+# evaluation-matrix entries one `cb` run may build over its whole degree range
+MAX_CB_ENTRIES = 10 ** 7
 
 
 class VarietyFile:
@@ -156,6 +160,13 @@ def cmd_cb(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
+    entries = 0
+    for a in degrees:  # each degree builds e_a and e_{s-a} on all n points
+        entries += setup.n * sum(comb(b + vf.m, vf.m)
+                                 for b in (a, setup.s - a) if b >= 0)
+        if entries > MAX_CB_ENTRIES:
+            raise ValueError(f"degrees {args.degrees} would build more than "
+                             f"{MAX_CB_ENTRIES} evaluation-matrix entries")
     print(f"seed={args.seed}")
     bad = False
     for a in degrees:

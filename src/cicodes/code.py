@@ -126,38 +126,32 @@ class DistanceResult:
     codewords_scanned: int
     exact: bool = True
 
-    def line(self):
-        return f"d={self.d} exact={str(self.exact).lower()} scanned={self.codewords_scanned}"
-
 
 def _weights(code: EvalCode, cap: int):
     """Weights of one nonzero codeword per projective class: for each lead,
-    the messages whose first nonzero digit is a 1 there, walked in odometer
-    order with incremental codeword updates.  First refuses when the words
-    it would visit, (q^k-1)/(q-1), exceed the cap."""
+    the messages whose first nonzero digit is a 1 there.  The later digits,
+    written in base p as sum d_i w^i, are walked in the modular p-ary Gray
+    code: step t adds 1 to the base-p coordinate at the p-adic valuation of
+    t, so the word gains that coordinate's w^i * g_j.  First refuses when the
+    words it would visit, (q^k-1)/(q-1), exceed the cap."""
     gen, field, n, k = code.gen, code.field, code.n, code.k
-    q = field.q
+    p, e, q = field.p, field.e, field.q
     visited = (q ** k - 1) // (q - 1)
     if visited > cap:
         raise CapExceededError(visited, cap)
     add = field.add
-    # delta[j][c]: add this row vector when digit j steps from c to c+1 mod q
-    delta = [[[field.mul(field.sub((c + 1) % q, c), g) for g in row]
-              for c in range(q)] for row in gen]
+    # w^i * g_j for rows j = k-1 down to 0, i < e: the last row moves fastest
+    steps = [[field.mul(p ** i, g) for g in gen[j]]
+             for j in range(k - 1, -1, -1) for i in range(e)]
     for lead in range(k):
         w = list(gen[lead])
         yield n - w.count(0)
-        digits = [0] * k  # message digits lead+1 .. k-1, the last one fastest
-        for _ in range(q ** (k - lead - 1) - 1):
-            j = k - 1
-            while True:
-                c = digits[j]
-                w = list(map(add, w, delta[j][c]))
-                if c + 1 < q:
-                    digits[j] = c + 1
-                    break
-                digits[j] = 0
-                j -= 1
+        for t in range(1, q ** (k - lead - 1)):
+            i = 0  # v_p(t): the base-p coordinate that steps
+            while t % p == 0:
+                t //= p
+                i += 1
+            w = list(map(add, w, steps[i]))
             yield n - w.count(0)
 
 

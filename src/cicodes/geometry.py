@@ -14,18 +14,6 @@ from .poly import Polynomial
 MAX_POINTS = 10 ** 7
 
 
-def normalize_point(coords, field: Field):
-    """Scale so the first nonzero coordinate is 1; None for the zero tuple."""
-    for i, c in enumerate(coords):
-        if c:
-            if c == 1:
-                return tuple(coords)
-            inv = field.inv(c)
-            return tuple(0 if j < i else field.mul(inv, x)
-                         for j, x in enumerate(coords))
-    return None
-
-
 @dataclass(frozen=True)
 class PointSet:
     """Ordered distinct normalized points of P^m."""

@@ -224,9 +224,6 @@ class Field:
             raise DivisionByZeroError("inverse of 0")
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         """a^n for any integer n: a multiple of log a (0^0 = 1)."""
         if a == 0:

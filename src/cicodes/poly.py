@@ -122,11 +122,6 @@ class Polynomial:
                 terms[expo] = f.add(terms.get(expo, 0), f.mul(c1, c2))
         return Polynomial(f, self.nvars, terms)
 
-    def scale(self, c):
-        f = self.field
-        return Polynomial(f, self.nvars,
-                          {e: f.mul(c, v) for e, v in self.terms.items()})
-
     def evaluate(self, point) -> int:
         """Value at a point given as a list of m+1 element encodings."""
         if len(point) != self.nvars:

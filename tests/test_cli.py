@@ -263,6 +263,22 @@ def test_cb_budget_below_1_exit_2(write, capsys, budget):
     assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
 
 
+@pytest.mark.parametrize("family,degrees", [
+    (("rm", "--q", "3", "--m", "2"), "0..100000000"),  # 9 points, a huge range
+    (("rs", "--q", "4096"), "1"),  # 4,097 points, e_{s-1} has 4,094 columns
+])
+def test_cb_work_limit_exit_2(capsys, tmp_path, family, degrees):
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", *family, "--out", path]) == 0
+    capsys.readouterr()
+    code = main(["cb", path, "--degrees", degrees, "--budget", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: degrees {degrees} would build more than "
+                            f"10000000 evaluation-matrix entries\n")
+
+
 def test_cb_non_split_gate(write, capsys):
     code, _ = run(capsys, ["cb", write(NON_SPLIT), "--degrees", "0..2"])
     assert code == 1

@@ -239,6 +239,25 @@ def test_cap_counts_visited_words(f3):
     assert exc.value.required == visited
 
 
+def test_odometer_setup_is_one_row_per_base_p_digit(monkeypatch):
+    """Over F_3^6 the odometer stores w^i * g_j for i < e: at most k*e*n
+    products, not one scaled row per field element (k*q*n = 531,441 here)."""
+    field = field_new(3, 6)
+    line = PointSet(tuple((1, x) for x in range(field.q)), 1, field)
+    code = build_code(line, 0)  # the repetition code of length 729
+    calls = []
+    mul = field.mul
+
+    def counted_mul(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(field, "mul", counted_mul)
+    res = min_distance(code)
+    assert (code.k, code.n, res.d, res.codewords_scanned) == (1, 729, 729, 1)
+    assert len(calls) <= code.k * field.e * code.n  # 4,374
+
+
 def test_singleton_bound(corpus):
     for setup in corpus.values():
         for a in range(0, setup.s + 2):

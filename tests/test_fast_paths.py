@@ -6,7 +6,7 @@ odometer."""
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +33,7 @@ from cicodes.geometry import enumerate_projective
 from cicodes.linalg import rank, rref
 
 PLANES = {q: enumerate_projective(2, field_new(p, e))
-          for q, p, e in ((4, 2, 2), (5, 5, 1), (9, 3, 2))}
+          for q, p, e in ((4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
 
 
 def sigma_reference(gamma):
@@ -196,7 +196,7 @@ def mds_corollary_reference(setup, a):
 @example(q=5, picks=[0, 2, 10, 13, 20, 24], s=2, a=1)  # likewise for the MDS side
 def test_combination_walks_match_reference(q, picks, s, a):
     space = PLANES[q]
-    picks = picks[:6 if q != 9 else 4]  # at most 5^6 or 9^4 codewords
+    picks = picks[:6 if q <= 5 else 4]  # at most 5^6, 8^4 or 9^4 codewords
     setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
     assert verify_projection_injectivity(setup, a) == \
         projection_injectivity_reference(setup, a)
@@ -252,16 +252,30 @@ def test_rref_matches_gauss_jordan(case):
     assert rows == snapshot  # inputs are not modified
 
 
+def weight_distribution_reference(code):
+    """Weight -> count over all q^k - 1 nonzero messages, each encoded directly."""
+    field, dist = code.field, {}
+    for msg in product(range(field.q), repeat=code.k):
+        if any(msg):
+            word = [0] * code.n
+            for c, row in zip(msg, code.gen):
+                word = [field.add(x, field.mul(c, g)) for x, g in zip(word, row)]
+            wt = code.n - word.count(0)
+            dist[wt] = dist.get(wt, 0) + 1
+    return dist
+
+
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from(sorted(PLANES)),
        picks=st.lists(st.integers(0, 90), unique=True, min_size=1, max_size=6),
        a=st.integers(0, 3))
 def test_min_distance_is_lightest_weight(q, picks, a):
     space = PLANES[q]
-    picks = picks[:6 if q == 5 else 4]  # at most 5^6 or 9^4 codewords
+    picks = picks[:6 if q == 5 else 4]  # at most 5^6, 8^4 or 9^4 codewords
     code = build_code(space.subset(i % len(space) for i in picks), a)
     dist = min_distance(code)
     weights = weight_distribution(code)
+    assert weights == weight_distribution_reference(code)
     assert dist.d == min(weights)
     assert dist.codewords_scanned == (q ** code.k - 1) // (q - 1)
     assert sum(weights.values()) == q ** code.k - 1
