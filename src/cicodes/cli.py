@@ -17,7 +17,7 @@ import sys
 from math import comb
 
 from . import families
-from .code import build_code, min_distance
+from .code import DEFAULT_CAP, build_code, min_distance
 from .cohomology import profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
@@ -36,8 +36,8 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
-# evaluation-matrix entries one `cb` run may build over its whole degree range
-MAX_CB_ENTRIES = 10 ** 7
+# evaluation-matrix entries one `analyze` or `cb` run may build
+MAX_MATRIX_ENTRIES = 10 ** 7
 
 
 class VarietyFile:
@@ -127,6 +127,7 @@ def cmd_analyze(args) -> int:
         print(f"error: degree {a} outside [1, {setup.s}] "
               f"(use --no-range-check to override)", file=sys.stderr)
         return EXIT_VALIDATION
+    _check_matrix_entries(setup.n, vf.m, [a], f"degree {a}")
     if 1 <= a <= setup.s:
         report = verify_main_theorem(setup, a, cap=args.cap)
         print(report.line())
@@ -154,19 +155,26 @@ def _parse_degree_range(text: str):
     return [int(text)]
 
 
+def _check_matrix_entries(n, m, degrees, what):
+    """Refuse the evaluation matrices e_b on n points of P^m, b in `degrees`,
+    when their entries sum past MAX_MATRIX_ENTRIES; stops at the first excess."""
+    entries = 0
+    for b in degrees:
+        entries += n * comb(b + m, m) if b >= 0 else 0
+        if entries > MAX_MATRIX_ENTRIES:
+            raise ValueError(f"{what} would build more than "
+                             f"{MAX_MATRIX_ENTRIES} evaluation-matrix entries")
+
+
 def cmd_cb(args) -> int:
     degrees = _parse_degree_range(args.degrees)
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    entries = 0
-    for a in degrees:  # each degree builds e_a and e_{s-a} on all n points
-        entries += setup.n * sum(comb(b + vf.m, vf.m)
-                                 for b in (a, setup.s - a) if b >= 0)
-        if entries > MAX_CB_ENTRIES:
-            raise ValueError(f"degrees {args.degrees} would build more than "
-                             f"{MAX_CB_ENTRIES} evaluation-matrix entries")
+    # each degree a builds e_a and e_{s-a} on all n points
+    _check_matrix_entries(setup.n, vf.m, (b for a in degrees for b in (a, setup.s - a)),
+                          f"degrees {args.degrees}")
     print(f"seed={args.seed}")
     bad = False
     for a in degrees:
@@ -231,7 +239,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="code parameters and distance bound at one degree")
     p.add_argument("file")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1 << 22)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--emit-matrix", action="store_true")
     p.add_argument("--no-range-check", action="store_true")
     p.add_argument("--threads", type=int, default=1,

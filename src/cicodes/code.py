@@ -16,16 +16,7 @@ DEFAULT_CAP = 1 << 22
 
 def _point_row(point, a, m, field):
     """Evaluations of the degree-a graded-lex monomial basis at one point."""
-    row = []
-    for expo in monomials_of_degree(m, a):
-        v = 1
-        for x, k in zip(point, expo):
-            if k:
-                v = field.mul(v, field.pow(x, k))
-                if v == 0:
-                    break
-        row.append(v)
-    return tuple(row)
+    return tuple(field.monomial(point, expo) for expo in monomials_of_degree(m, a))
 
 
 @dataclass(frozen=True)

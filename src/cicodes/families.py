@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegreeOutOfRangeError
+from .geometry import check_space
 from .gf import Field, field_new
 from .poly import Polynomial
 
@@ -40,6 +41,13 @@ def _field_for(q: int) -> Field:
     return field_new(p, e)
 
 
+def _check_m(m: int, q: int) -> None:
+    """Refuse an ambient P^m that the variety-file loader would refuse."""
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    check_space(m, q)
+
+
 def _affine_binomial(field, nvars, j, q):
     """x_j^q - x0^{q-1} x_j, cutting out the affine values of coordinate j."""
     lead = [0] * nvars
@@ -58,6 +66,7 @@ def extended_rs(q: int, m: int = 1, field: Field = None):
     """
     if field is None:
         field = _field_for(q)
+    _check_m(m, field.q)
     nvars = m + 1
     polys = [Polynomial.variable(field, nvars, j) for j in range(1, m)]
     polys.append(_affine_binomial(field, nvars, m, q))
@@ -69,6 +78,7 @@ def reed_muller_ci(q: int, m: int, field: Field = None):
     """The m binomials whose common zeros are all q^m affine points of A^m."""
     if field is None:
         field = _field_for(q)
+    _check_m(m, field.q)
     nvars = m + 1
     polys = [_affine_binomial(field, nvars, j, q) for j in range(1, m + 1)]
     spec = FamilySpec("reed_muller", q, m, (q,) * m, field)

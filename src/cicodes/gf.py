@@ -2,7 +2,7 @@
 
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
-i.e. x = sum c_i * w^i.  Multiplication, inversion, powers and negation
+i.e. x = sum c_i * w^i.  Products, inverses, powers, monomials and negatives
 are lookups in log/antilog tables; addition is digitwise mod p.
 """
 
@@ -231,6 +231,16 @@ class Field:
                 self.inv(a)  # raises DivisionByZeroError
             return 0 if n else 1
         return self._exp[self._log[a] * n % (self.q - 1)]
+
+    def monomial(self, point, expo) -> int:
+        """The product of the x_i^k_i (k_i >= 0) over the coordinates: one sum of logs."""
+        log, total = self._log, 0
+        for x, k in zip(point, expo):
+            if k:
+                if x == 0:
+                    return 0
+                total += k * log[x]
+        return self._exp[total % (self.q - 1)]
 
     def from_int(self, n: int) -> int:
         """Reduce an integer literal into F_q (image of n under Z -> F_p <= F_q)."""

@@ -130,13 +130,7 @@ class Polynomial:
         f = self.field
         total = 0
         for expo, coef in self.terms.items():
-            v = coef
-            for x, k in zip(point, expo):
-                if k:
-                    v = f.mul(v, f.pow(x, k))
-                    if v == 0:
-                        break
-            total = f.add(total, v)
+            total = f.add(total, f.mul(coef, f.monomial(point, expo)))
         return total
 
     def partial_derivative(self, var: int):

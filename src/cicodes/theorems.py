@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .code import build_code, evaluation_matrix, min_distance
+from .code import DEFAULT_CAP, build_code, evaluation_matrix, min_distance
 from .cohomology import h0, h1, rank_e, sigma
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
@@ -176,7 +176,7 @@ class BoundReport:
                 f"mds_sufficient={str(self.mds_sufficient).lower()}")
 
 
-def verify_main_theorem(setup: CISetup, a: int, cap: int = 1 << 22) -> BoundReport:
+def verify_main_theorem(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> BoundReport:
     """Exact parameters of C(Gamma)_a against the distance bound and Singleton."""
     bound = hansen_bound(setup, a)
     code = build_code(setup.gamma, a)
@@ -197,7 +197,7 @@ def verify_symmetry(setup: CISetup) -> bool:
     return True
 
 
-def verify_mds_corollary(setup: CISetup, a: int, cap: int = 1 << 22) -> bool:
+def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool:
     """Exact MDS status must agree with universal vanishing of
     h1(Gamma'', s-a) over all subsets of size h1(Gamma, a)."""
     code = build_code(setup.gamma, a)

@@ -207,6 +207,25 @@ def test_analyze_zero_code_exit_2(write, capsys):
         assert captured.err == "error: the zero code has no nonzero codeword\n"
 
 
+@pytest.mark.parametrize("family,degree,flags", [
+    (("rm", "--q", "3", "--m", "2"), "3000", ("--no-range-check",)),  # 9 x 4,504,501
+    (("rm", "--q", "3", "--m", "2"), "100000", ("--no-range-check",)),
+    (("rs", "--q", "4096"), "2500", ()),  # in range: 4,097 points x 2,501 columns
+])
+def test_analyze_work_limit_exit_2(capsys, tmp_path, family, degree, flags):
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", *family, "--out", path]) == 0
+    capsys.readouterr()
+    code = main(["analyze", path, "--degree", degree, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: degree {degree} would build more than "
+                            f"10000000 evaluation-matrix entries\n")
+    if flags:  # the range check still comes first
+        assert main(["analyze", path, "--degree", degree]) == 1
+
+
 def test_analyze_cap_exceeded(write, capsys):
     code, _ = run(capsys, ["analyze", write(RM3), "--degree", "3", "--cap", "10"])
     assert code == 3
@@ -341,6 +360,24 @@ def test_family_q_below_2_exit_2(capsys, kind, q):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: q must be a prime power >= 2, got {q}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (("rs", "--q", "4", "--m", "-1"), "m must be at least 1, got -1"),
+    (("rs", "--q", "4", "--m", "0"), "m must be at least 1, got 0"),
+    (("rm", "--q", "5", "--m", "0"), "m must be at least 1, got 0"),
+    (("rm", "--q", "2", "--m", "23"), "P^23(F_2) has more than 10000000 points"),
+    (("rs", "--q", "2", "--m", "24"), "P^24(F_2) has more than 10000000 points"),
+])
+def test_family_m_refused_exit_2(capsys, tmp_path, args, message):
+    """An m that the variety-file loader would refuse writes no file."""
+    out_path = tmp_path / "variety.txt"
+    code = main(["family", *args, "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def test_family_unknown_kind(capsys):

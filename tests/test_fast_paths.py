@@ -1,8 +1,8 @@
-"""Differential checks against the straightforward definitions: the upward
-sigma scan, the truncated profile, the one-elimination CB-scheme test, the
-CB sweep and the combination walks over incremental echelon bases, rank and
-RREF by row insertion, and the minimum distance folded over the codeword
-odometer."""
+"""Differential checks against the straightforward definitions: the
+log-domain monomial kernel behind every evaluation, the upward sigma scan,
+the truncated profile, the one-elimination CB-scheme test, the CB sweep
+and the combination walks over incremental echelon bases, rank and RREF by
+row insertion, and the minimum distance folded over the codeword odometer."""
 
 import random
 import sys
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from cicodes import (
     CBReport,
     CISetup,
+    Polynomial,
     build_code,
     cb_identity,
     field_new,
@@ -29,11 +30,50 @@ from cicodes import (
     verify_projection_injectivity,
     weight_distribution,
 )
-from cicodes.geometry import enumerate_projective
+from cicodes.code import evaluation_matrix
+from cicodes.geometry import PointSet, enumerate_projective
 from cicodes.linalg import rank, rref
+from cicodes.poly import monomials_of_degree
 
+KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
+    (2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2), (16, 2, 4))}
 PLANES = {q: enumerate_projective(2, field_new(p, e))
           for q, p, e in ((4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2))}
+
+
+def monomial_reference(field, point, expo):
+    """Product of the coordinate powers, one mul and one pow per coordinate."""
+    v = 1
+    for x, k in zip(point, expo):
+        v = field.mul(v, field.pow(x, k))
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from(sorted(KERNEL_FIELDS)), m=st.integers(1, 2), data=st.data())
+def test_monomial_kernel_matches_power_products(q, m, data):
+    """Field.monomial, the rows of evaluation_matrix and Polynomial.evaluate,
+    at points with zero coordinates drawn often and degrees up to q + 2."""
+    field = KERNEL_FIELDS[q]
+    coord = st.one_of(st.just(0), st.integers(0, q - 1))
+    points = data.draw(st.lists(st.tuples(*[coord] * (m + 1)),
+                                min_size=1, max_size=4))
+    a = data.draw(st.integers(0, q + 2))
+    monomials = monomials_of_degree(m, a)
+    matrix = evaluation_matrix(PointSet(tuple(points), m, field), a)
+    for pt, row in zip(points, matrix.rows):
+        expected = [monomial_reference(field, pt, expo) for expo in monomials]
+        assert [field.monomial(pt, expo) for expo in monomials] == expected
+        assert list(row) == expected
+    coefs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(monomials),
+                               max_size=len(monomials)))
+    poly = Polynomial(field, m + 1, dict(zip(monomials, coefs)))
+    for pt in points:
+        expected = 0
+        for expo, c in zip(monomials, coefs):
+            term = field.mul(c, monomial_reference(field, pt, expo))
+            expected = field.add(expected, term)
+        assert poly.evaluate(pt) == expected
 
 
 def sigma_reference(gamma):
