@@ -36,7 +36,7 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 
-# evaluation-matrix entries one `analyze` or `cb` run may build
+# evaluation-matrix entries one `analyze`, `cb` or `hilbert` run may build
 MAX_MATRIX_ENTRIES = 10 ** 7
 
 
@@ -189,6 +189,9 @@ def cmd_cb(args) -> int:
 def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
+    # sigma's scan builds e_0 .. e_{s+1} on a complete intersection
+    _check_matrix_entries(setup.n, vf.m, range(0, setup.s + 2),
+                          f"hilbert over degrees 0..{setup.s + 1}")
     prof = profile(setup.gamma, len(setup.gamma))
     for line in prof.lines():
         print(line)

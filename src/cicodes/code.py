@@ -14,9 +14,14 @@ from .poly import Polynomial, monomials_of_degree
 DEFAULT_CAP = 1 << 22
 
 
+def _monomial_row(point, monomials, field):
+    """Evaluations of the listed monomials at one point."""
+    return tuple(field.monomial(point, expo) for expo in monomials)
+
+
 def _point_row(point, a, m, field):
     """Evaluations of the degree-a graded-lex monomial basis at one point."""
-    return tuple(field.monomial(point, expo) for expo in monomials_of_degree(m, a))
+    return _monomial_row(point, monomials_of_degree(m, a), field)
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,8 @@ class EvalMatrix:
 
 
 def evaluation_matrix(gamma: PointSet, a: int) -> EvalMatrix:
-    rows = tuple(_point_row(pt, a, gamma.m, gamma.field) for pt in gamma)
+    monomials = monomials_of_degree(gamma.m, a)  # listed once, not once per point
+    rows = tuple(_monomial_row(pt, monomials, gamma.field) for pt in gamma)
     return EvalMatrix(rows, a, gamma.m, gamma.field)
 
 

@@ -169,30 +169,64 @@ class Field:
         return self.encode(rem)
 
     def _build_tables(self):
-        """One walk: exp lists the powers of the first g = 1, 2, ... of order q - 1."""
-        q = self.q
-        for g in range(1, q):
-            exp, x = [1], g
-            while x != 1:
-                exp.append(x)
-                x = self._mul_slow(x, g)
-            if len(exp) == q - 1:
-                break
-        log = [0] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-        self.multiplicative_generator = g
-        if self.e == 1:
-            self.add = lambda a, b: (a + b) % self.p
-        elif self.p == 2:
+        """exp lists the powers of the first g = 1, 2, ... of order q - 1.
+
+        g passes the order test g^((q-1)/r) != 1 for every prime r | q - 1
+        (vacuous for q = 2, where g = 1).  The walk then multiplies by g in
+        the integer encoding: mod p for e = 1; for e > 1, x -> x*g is
+        F_p-linear, so x*g = lo[x mod p^k] + hi[x div p^k] with k = e // 2:
+        two tables of p^k and p^(e-k) slow products (256 each for 2^16).
+        """
+        p, e, q = self.p, self.e, self.q
+        if e == 1:
+            self.add = lambda a, b: (a + b) % p
+        elif p == 2:
             self.add = lambda a, b: a ^ b
         elif q <= 512:
             table = [[self._add_digits(a, b) for b in range(q)] for a in range(q)]
             self.add = lambda a, b: table[a][b]
         else:
             self.add = self._add_digits
+        primes, t, r = [], q - 1, 2
+        while r * r <= t:
+            if t % r == 0:
+                primes.append(r)
+                while t % r == 0:
+                    t //= r
+            r += 1
+        if t > 1:
+            primes.append(t)
+
+        def power(x, n):  # square-and-multiply
+            if e == 1:
+                return pow(x, n, p)
+            out = 1
+            while n:
+                if n & 1:
+                    out = self._mul_slow(out, x)
+                n >>= 1
+                if n:
+                    x = self._mul_slow(x, x)
+            return out
+
+        g = next(g for g in range(1, q)
+                 if all(power(g, (q - 1) // r) != 1 for r in primes))
+        if e == 1:
+            step = lambda x: x * g % p
+        else:
+            base, add = p ** (e // 2), self.add
+            lo = [self._mul_slow(x, g) for x in range(base)]
+            hi = [self._mul_slow(x * base, g) for x in range(q // base)]
+            step = lambda x: add(lo[x % base], hi[x // base])
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(step(exp[-1]))
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp = exp
+        self._log = log
+        self.multiplicative_generator = g
 
     # -- arithmetic --
 

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import cicodes
 from cicodes.cli import main
 
 TWO_CONIC = """\
@@ -309,6 +313,23 @@ def test_hilbert_rm3(write, capsys):
     assert "sigma=3" in out
     assert "symmetry=pass" in out
     assert "cb_scheme=true" in out
+
+
+@pytest.mark.parametrize("q", ["4096", "6561"])
+def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
+    """sigma's scan over e_0 .. e_{s+1} on q + 1 points is refused before any
+    output.  A child process with a timeout keeps a hang from stalling the suite."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", "rs", "--q", q, "--out", path]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cicodes.cli", "hilbert", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    s = int(q) - 2
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: hilbert over degrees 0..{s + 1} would build "
+                           f"more than 10000000 evaluation-matrix entries\n")
 
 
 def test_hilbert_two_conic(write, capsys):

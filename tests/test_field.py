@@ -1,5 +1,7 @@
 """Field arithmetic tests, checked against a brute-force polynomial oracle."""
 
+import random
+
 import pytest
 
 from cicodes import field_new
@@ -9,6 +11,7 @@ from cicodes.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
+from cicodes.gf import Field, _is_prime
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
@@ -208,3 +211,72 @@ def test_encoding_roundtrip():
     f = field_new(3, 3)
     for x in range(f.q):
         assert f.encode(f.coeffs(x)) == x
+
+
+# -- table builder: order test and split-table walk against the candidate walk --
+
+def reference_tables(field):
+    """The earlier builder: walk each candidate g = 1, 2, ... until one has
+    order q - 1; exp lists its powers and log inverts exp."""
+    q = field.q
+    for g in range(1, q):
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = oracle_mul(field, x, g)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return g, exp, log
+
+
+def _fields_up_to(bound):
+    for p in filter(_is_prime, range(2, bound + 1)):
+        e = 1
+        while p ** e <= bound:
+            yield p, e
+            e += 1
+
+
+def test_tables_match_candidate_walk():
+    for p, e in _fields_up_to(1024):
+        f = field_new(p, e)
+        g, exp, log = reference_tables(f)
+        assert (f.multiplicative_generator, f._exp, f._log) == (g, exp, log), (p, e)
+
+
+# the corpus fields: `cicodes family rs --q 65536 | --q 6561` and the prime 65521
+CORPUS_FIELDS = [((2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)), 3),
+                 ((3, 8, (2, 0, 1, 0, 0, 0, 0, 0, 1)), 38),
+                 ((65521, 1, None), 17)]
+
+
+@pytest.mark.parametrize("args,g", CORPUS_FIELDS)
+def test_corpus_field_tables(args, g):
+    p, e, modulus = args
+    f = field_new(p, e)
+    assert modulus is None or f.modulus == modulus  # the default the corpus uses
+    assert f.multiplicative_generator == g
+    assert sorted(f._exp) == list(range(1, f.q))
+    assert all(f._log[x] == i for i, x in enumerate(f._exp))
+    n = f.q - 1
+    for i in random.Random(8).sample(range(n), 300):
+        assert f._exp[(i + 1) % n] == f._mul_slow(f._exp[i], g)
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 8), (65521, 1)])
+def test_table_build_is_few_slow_products(monkeypatch, p, e):
+    """The order test and the split tables make at most 4,096 polynomial-remainder
+    products (the candidate walk made 87,378, 40,813 and 212,417 here)."""
+    calls = []
+    mul_slow = Field._mul_slow
+
+    def counted(self, a, b):
+        calls.append(None)
+        return mul_slow(self, a, b)
+
+    monkeypatch.setattr(Field, "_mul_slow", counted)
+    field_new(p, e)
+    assert len(calls) <= 4096
