@@ -125,48 +125,77 @@ class DistanceResult:
 
 
 def _weights(code: EvalCode, cap: int):
-    """Weights of one nonzero codeword per projective class: for each lead,
-    the messages whose first nonzero digit is a 1 there.  The later digits,
-    written in base p as sum d_i w^i, are walked in the modular p-ary Gray
-    code: step t adds 1 to the base-p coordinate at the p-adic valuation of
-    t, so the word gains that coordinate's w^i * g_j.  First refuses when the
-    words it would visit, (q^k-1)/(q-1), exceed the cap."""
+    """Weight histogram (count of words by weight) of one nonzero codeword
+    per projective class: for each lead, the messages whose first nonzero
+    digit is a 1 there.  The later digits, written in base p as sum d_i w^i,
+    are walked in the modular p-ary Gray code: step t adds 1 to the base-p
+    coordinate at the p-adic valuation of t, so the word gains that
+    coordinate's w^i * g_j.  First refuses when the words it would visit,
+    (q^k-1)/(q-1), exceed the cap.
+
+    A word is one int: base-p digit i of coordinate c fills the b-bit lane
+    c*e + i.  In characteristic 2, b = 1 and a step is one XOR.  For odd p,
+    b = bitlen(p) + 1 and a step adds lane-wise: a lane sum s < 2p reaches p
+    exactly when s + 2^(b-1) - p sets the lane's top bit, and those lanes
+    lose p.  Likewise a digit is nonzero exactly when adding 2^(b-1) - 1
+    sets its top bit; the weight ORs these bits over each coordinate's e
+    lanes and counts them."""
     gen, field, n, k = code.gen, code.field, code.n, code.k
     p, e, q = field.p, field.e, field.q
     visited = (q ** k - 1) // (q - 1)
     if visited > cap:
         raise CapExceededError(visited, cap)
-    add = field.add
     # w^i * g_j for rows j = k-1 down to 0, i < e: the last row moves fastest
     steps = [[field.mul(p ** i, g) for g in gen[j]]
              for j in range(k - 1, -1, -1) for i in range(e)]
+    b = 1 if p == 2 else p.bit_length() + 1
+    top = 1 << (b - 1)
+    lanes = {x: "".join(format(x // p ** i % p, f"0{b}b") for i in range(e - 1, -1, -1))
+             for x in set().union(*steps, *gen)}
+
+    def pack(row):  # coordinate 0 in the low bits
+        return int("".join([lanes[x] for x in reversed(row)]), 2)
+
+    def every_lane(v):
+        return int(format(v, f"0{b}b") * (n * e), 2)
+
+    high, nonzero = every_lane(top), every_lane(top - 1)
+    bias = every_lane(top - p) if p > 2 else 0
+    first = int(("0" * (b * (e - 1)) + format(top, f"0{b}b")) * n, 2)
+    steps = [pack(s) for s in steps]
+    shift, fold, covered = b - 1, [], 1
+    while covered < e:  # shifts that OR lanes c*e+1 .. c*e+e-1 into lane c*e
+        fold.append(min(covered, e - covered) * b)
+        covered += fold[-1] // b
+    hist = [0] * (n + 1)
     for lead in range(k):
-        w = list(gen[lead])
-        yield n - w.count(0)
-        for t in range(1, q ** (k - lead - 1)):
-            i = 0  # v_p(t): the base-p coordinate that steps
-            while t % p == 0:
-                t //= p
-                i += 1
-            w = list(map(add, w, steps[i]))
-            yield n - w.count(0)
+        w = pack(gen[lead])
+        for t in range(q ** (k - lead - 1)):
+            if t:
+                i = 0  # v_p(t): the base-p coordinate that steps
+                while t % p == 0:
+                    t //= p
+                    i += 1
+                if p == 2:
+                    w ^= steps[i]
+                else:
+                    w += steps[i]
+                    w -= (((w + bias) & high) >> shift) * p
+            nz = w if p == 2 else (w + nonzero) & high
+            for s in fold:
+                nz |= nz >> s
+            hist[(nz & first).bit_count()] += 1
+    return hist
 
 
 def min_distance(code: EvalCode, cap: int = DEFAULT_CAP) -> DistanceResult:
     """Exact minimum distance by scanning one message per projective class."""
     if not code.k:
         raise ValueError("the zero code has no nonzero codeword")
-    best, scanned = code.n, 0
-    for wt in _weights(code, cap):
-        if wt < best:
-            best = wt
-        scanned += 1
-    return DistanceResult(best, scanned)
+    hist = _weights(code, cap)
+    return DistanceResult(next(wt for wt, c in enumerate(hist) if c), sum(hist))
 
 
 def weight_distribution(code: EvalCode, cap: int = DEFAULT_CAP):
     """Weight -> count over all nonzero codewords (scaling multiplies counts by q-1)."""
-    dist = {}
-    for wt in _weights(code, cap):
-        dist[wt] = dist.get(wt, 0) + 1
-    return {wt: c * (code.field.q - 1) for wt, c in dist.items()}
+    return {wt: c * (code.field.q - 1) for wt, c in enumerate(_weights(code, cap)) if c}

@@ -182,8 +182,12 @@ class Field:
             self.add = lambda a, b: (a + b) % p
         elif p == 2:
             self.add = lambda a, b: a ^ b
-        elif q <= 512:
-            table = [[self._add_digits(a, b) for b in range(q)] for a in range(q)]
+        elif q <= 512:  # a + b = lo[a_lo][b_lo] + hi[a_hi][b_hi], split at p^(e//2)
+            base = p ** (e // 2)
+            lo = [[self._add_digits(a, b) for b in range(base)] for a in range(base)]
+            hi = [[base * self._add_digits(a, b) for b in range(q // base)]
+                  for a in range(q // base)]
+            table = [[h + x for h in hi[a // base] for x in lo[a % base]] for a in range(q)]
             self.add = lambda a, b: table[a][b]
         else:
             self.add = self._add_digits

@@ -332,6 +332,23 @@ def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
                            f"more than 10000000 evaluation-matrix entries\n")
 
 
+
+def test_analyze_long_words_in_time(capsys, tmp_path):
+    """Extended RS over F_6561 at degree 1 scans q + 1 words of length q: a
+    few operations on one packed int each, where a word once cost q field
+    adds (4.3 * 10^7 in all).  The child process's timeout turns a
+    regression into a failure, not a stall."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", "rs", "--q", "6561", "--out", path]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cicodes.cli", "analyze", path,
+                           "--degree", "1", "--no-range-check"],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout == ("n=6561 k=2 d=6560 bound=6560 singleton=6560 mds=true "
+                           "mds_sufficient=true\n")
+
 def test_hilbert_two_conic(write, capsys):
     code, out = run(capsys, ["hilbert", write(TWO_CONIC)])
     assert code == 0

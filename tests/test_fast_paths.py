@@ -9,7 +9,7 @@ import sys
 from itertools import combinations, product
 from math import comb
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cicodes import (
     CBReport,
@@ -319,3 +319,27 @@ def test_min_distance_is_lightest_weight(q, picks, a):
     assert dist.d == min(weights)
     assert dist.codewords_scanned == (q ** code.k - 1) // (q - 1)
     assert sum(weights.values()) == q ** code.k - 1
+
+
+LINES = {q: enumerate_projective(1, field_new(p, e)) for q, p, e in (
+    (2, 2, 1), (3, 3, 1), (7, 7, 1), (16, 2, 4), (27, 3, 3), (31, 31, 1))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(LINES)),
+       picks=st.lists(st.integers(0, 31), unique=True, min_size=1, max_size=32),
+       a=st.integers(0, 5))
+@example(q=31, picks=list(range(32)), a=1)  # the lane bias 2^5 - 31 = 1
+@example(q=7, picks=list(range(8)), a=3)  # the lane bias 2^3 - 7 = 1
+@example(q=27, picks=list(range(28)), a=1)  # e = 3: three lanes per coordinate
+def test_packed_lanes_match_reference(q, picks, a):
+    """Point subsets of P^1: p = 2^j - 1 leaves the odd-p lane bias no slack,
+    and e > 1 exercises the fold over a coordinate's lanes."""
+    line = LINES[q]
+    gamma = line.subset(i % len(line) for i in picks)
+    assume(q ** min(a + 1, len(gamma)) <= 4096)  # messages the reference encodes
+    code = build_code(gamma, a)
+    weights = weight_distribution(code)
+    assert weights == weight_distribution_reference(code)
+    dist = min_distance(code)
+    assert (dist.d, dist.codewords_scanned) == (min(weights), (q ** code.k - 1) // (q - 1))

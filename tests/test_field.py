@@ -247,6 +247,18 @@ def test_tables_match_candidate_walk():
         assert (f.multiplicative_generator, f._exp, f._log) == (g, exp, log), (p, e)
 
 
+def test_odd_extension_add_tables_match_digits():
+    """The q x q add table, built from split-digit tables, on every odd
+    extension field with q <= 512."""
+    fields = [(p, e) for p, e in _fields_up_to(512) if p > 2 and e > 1]
+    assert len(fields) == 12
+    for p, e in fields:
+        f = field_new(p, e)
+        for a in range(f.q):
+            assert [f.add(a, b) for b in range(f.q)] == \
+                [f._add_digits(a, b) for b in range(f.q)], (p, e, a)
+
+
 # the corpus fields: `cicodes family rs --q 65536 | --q 6561` and the prime 65521
 CORPUS_FIELDS = [((2, 16, (1, 1, 0, 1, 0, 1) + (0,) * 10 + (1,)), 3),
                  ((3, 8, (2, 0, 1, 0, 0, 0, 0, 0, 1)), 38),
