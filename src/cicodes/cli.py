@@ -24,6 +24,7 @@ from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
 from .poly import parse as parse_poly, poly_text
 from .theorems import (
+    cb_split_count,
     ci_setup,
     is_cb_scheme,
     verify_cb_all,
@@ -38,6 +39,8 @@ EXIT_CAP = 3
 
 # evaluation-matrix entries one `analyze`, `cb` or `hilbert` run may build
 MAX_MATRIX_ENTRIES = 10 ** 7
+# field operations the eliminations of one such run may take (`_check_elimination_work`)
+MAX_ELIMINATION_WORK = 10 ** 8
 
 
 class VarietyFile:
@@ -128,6 +131,7 @@ def cmd_analyze(args) -> int:
               f"(use --no-range-check to override)", file=sys.stderr)
         return EXIT_VALIDATION
     _check_matrix_entries(setup.n, vf.m, [a], f"degree {a}")
+    _check_elimination_work(setup.n, vf.m, [(setup.n, a)], f"degree {a}")
     if 1 <= a <= setup.s:
         report = verify_main_theorem(setup, a, cap=args.cap)
         print(report.line())
@@ -166,6 +170,20 @@ def _check_matrix_entries(n, m, degrees, what):
                              f"{MAX_MATRIX_ENTRIES} evaluation-matrix entries")
 
 
+def _check_elimination_work(n, m, jobs, what):
+    """Refuse eliminating rows of the e_b on n points of P^m, for the (rows, b)
+    in `jobs`, when rows x cols x min(n, cols) sums past MAX_ELIMINATION_WORK:
+    a row of e_b has cols = C(b+m, m) entries and meets at most min(n, cols)
+    basis rows.  Run after `_check_matrix_entries`, which bounds the degrees."""
+    work = 0
+    for rows, b in jobs:
+        cols = comb(b + m, m) if b >= 0 else 0
+        work += rows * cols * min(n, cols)
+        if work > MAX_ELIMINATION_WORK:
+            raise ValueError(f"{what} would take more than {MAX_ELIMINATION_WORK} "
+                             f"field operations to eliminate")
+
+
 def cmd_cb(args) -> int:
     degrees = _parse_degree_range(args.degrees)
     if args.budget < 1:
@@ -175,6 +193,12 @@ def cmd_cb(args) -> int:
     # each degree a builds e_a and e_{s-a} on all n points
     _check_matrix_entries(setup.n, vf.m, (b for a in degrees for b in (a, setup.s - a)),
                           f"degrees {args.degrees}")
+    # the walk inserts 2^(n+1) rows over all 2^n splits, else at most n per
+    # split, each into the basis of the wider of e_a and e_{s-a}
+    n, splits = setup.n, cb_split_count(setup.n, args.budget)
+    inserts = 2 * splits if splits == 1 << n else n * splits
+    _check_elimination_work(n, vf.m, ((inserts, max(a, setup.s - a)) for a in degrees),
+                            f"degrees {args.degrees}")
     print(f"seed={args.seed}")
     bad = False
     for a in degrees:
@@ -190,8 +214,10 @@ def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
     # sigma's scan builds e_0 .. e_{s+1} on a complete intersection
-    _check_matrix_entries(setup.n, vf.m, range(0, setup.s + 2),
-                          f"hilbert over degrees 0..{setup.s + 1}")
+    what = f"hilbert over degrees 0..{setup.s + 1}"
+    _check_matrix_entries(setup.n, vf.m, range(0, setup.s + 2), what)
+    _check_elimination_work(setup.n, vf.m, ((setup.n, b) for b in range(0, setup.s + 2)),
+                            what)
     prof = profile(setup.gamma, len(setup.gamma))
     for line in prof.lines():
         print(line)

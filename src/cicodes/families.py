@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeOutOfRangeError
 from .geometry import check_space
-from .gf import Field, field_new
+from .gf import Field, _prime_power, field_new
 from .poly import Polynomial
 
 
@@ -22,23 +22,6 @@ class FamilySpec:
     @property
     def s(self):
         return sum(self.degrees) - self.m - 1
-
-
-def _field_for(q: int) -> Field:
-    """Field of order q from its prime-power factorization."""
-    if q < 2:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1
-    e = 0
-    t = q
-    while t > 1:
-        if t % p:
-            raise ValueError(f"{q} is not a prime power")
-        t //= p
-        e += 1
-    return field_new(p, e)
 
 
 def _check_m(m: int, q: int) -> None:
@@ -65,7 +48,7 @@ def extended_rs(q: int, m: int = 1, field: Field = None):
     evaluation codes are the extended Reed-Solomon codes.
     """
     if field is None:
-        field = _field_for(q)
+        field = field_new(*_prime_power(q))
     _check_m(m, field.q)
     nvars = m + 1
     polys = [Polynomial.variable(field, nvars, j) for j in range(1, m)]
@@ -77,7 +60,7 @@ def extended_rs(q: int, m: int = 1, field: Field = None):
 def reed_muller_ci(q: int, m: int, field: Field = None):
     """The m binomials whose common zeros are all q^m affine points of A^m."""
     if field is None:
-        field = _field_for(q)
+        field = field_new(*_prime_power(q))
     _check_m(m, field.q)
     nvars = m + 1
     polys = [_affine_binomial(field, nvars, j, q) for j in range(1, m + 1)]
@@ -103,8 +86,8 @@ def hermitian_ci(q: int):
     """Hermitian curve x1^{q+1} - x2^q x0 - x2 x0^q over F_{q^2}, intersected
     with the product of the lines x2 = alpha*x0 over alpha with
     alpha^q + alpha != 0.  Gamma is the q^3 - q affine points with x1 != 0."""
-    base = _field_for(q)
-    field = field_new(base.p, 2 * base.e)
+    p, e = _prime_power(q)
+    field = field_new(p, 2 * e)
     nvars = 3
     lead = [0, q + 1, 0]
     t1 = [1, 0, q]

@@ -12,6 +12,7 @@ from .linalg import rank as matrix_rank
 from .poly import Polynomial
 
 MAX_POINTS = 10 ** 7
+MAX_CUT_WORK = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,17 @@ class PointSet:
                         self.m, self.field)
 
 
-def check_space(m: int, q: int) -> None:
-    """Refuse a P^m(F_q) of more than MAX_POINTS points, summing 1 + q + ...
-    + q^m only until the sum passes the limit, so a huge m costs nothing."""
+def check_space(m: int, q: int) -> int:
+    """The number of points of P^m(F_q); refuses more than MAX_POINTS, summing
+    1 + q + ... + q^m only until the sum passes the limit, so a huge m costs
+    nothing."""
     total, term = 0, 1
     for _ in range(m + 1):
         total += term
         if total > MAX_POINTS:
             raise SpaceTooLargeError(f"P^{m}(F_{q}) has more than {MAX_POINTS} points")
         term *= q
+    return total
 
 
 def enumerate_projective(m: int, field: Field) -> PointSet:
@@ -68,10 +71,18 @@ def enumerate_projective(m: int, field: Field) -> PointSet:
 
 
 def variety_points(polys, m: int, field: Field) -> PointSet:
-    """Common zero locus in P^m(F_q) of a list of homogeneous polynomials."""
+    """Common zero locus in P^m(F_q) of a list of homogeneous polynomials.
+    Refuses a cut whose points times (1 + terms) pass MAX_CUT_WORK: the
+    worst case builds every point and evaluates every term at it."""
     for poly in polys:
         if not poly.is_homogeneous():
             raise NonHomogeneousError(f"not homogeneous: {poly}")
+    terms = sum(len(poly.terms) for poly in polys)
+    size = check_space(m, field.q)
+    if size * (1 + terms) > MAX_CUT_WORK:
+        raise SpaceTooLargeError(
+            f"cutting the {size} points of P^{m}(F_{field.q}) by {terms} terms "
+            f"would take more than {MAX_CUT_WORK} point-term evaluations")
     ambient = enumerate_projective(m, field)
     points = tuple(pt for pt in ambient
                    if all(poly.evaluate(pt) == 0 for poly in polys))

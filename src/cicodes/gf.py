@@ -18,19 +18,36 @@ from .errors import (
 MAX_Q = 1 << 16
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending, by trial division ([] for n < 2)."""
+    primes, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
+
+
+def _prime_power(q: int):
+    """(p, e) with q = p^e, for a field order 2 <= q <= MAX_Q; a larger q is
+    refused before any factoring."""
+    if q < 2:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    if q > MAX_Q:
+        raise FieldTooLargeError(f"q = {q} exceeds {MAX_Q}")
+    primes = _prime_factors(q)
+    if len(primes) > 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = primes[0]
+    return p, next(e for e in range(1, 17) if p ** e == q)
 
 
 # -- polynomial helpers over F_p, coefficient lists in ascending powers --
@@ -191,15 +208,7 @@ class Field:
             self.add = lambda a, b: table[a][b]
         else:
             self.add = self._add_digits
-        primes, t, r = [], q - 1, 2
-        while r * r <= t:
-            if t % r == 0:
-                primes.append(r)
-                while t % r == 0:
-                    t //= r
-            r += 1
-        if t > 1:
-            primes.append(t)
+        primes = _prime_factors(q - 1)
 
         def power(x, n):  # square-and-multiply
             if e == 1:

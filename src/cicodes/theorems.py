@@ -74,6 +74,13 @@ class CBReport:
         return out
 
 
+def cb_split_count(n: int, budget: int) -> int:
+    """The splits `verify_cb_all` checks on n points: all 2^n within the
+    budget, else a sample of max(budget, 2n + 2) (at most 2^n) masks."""
+    total = 1 << n
+    return total if total <= budget else min(total, max(budget, 2 * n + 2))
+
+
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
                   seed: int = 0) -> CBReport:
     """Check the identity over all subset splits, or a seeded sample when
@@ -95,7 +102,8 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
         for i in range(n):
             picked.add(1 << i)                 # size 1
             picked.add((total - 1) ^ (1 << i))  # size n-1
-        while len(picked) < budget:
+        splits = cb_split_count(n, budget)
+        while len(picked) < splits:
             picked.add(rng.randrange(total))
         masks = sorted(picked)
     field = setup.gamma.field

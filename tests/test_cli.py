@@ -43,6 +43,20 @@ poly x2
 """
 
 
+# the 5 x 7 x 7 grid of affine points in P^3 over F_7: 245 points, s = 15
+GRID_245 = "field p=7 e=1\nvars m=3\n" + "".join(
+    "poly " + " * ".join(f"(x{i} - {c}*x0)" for c in range(k)) + "\n"
+    for i, k in ((1, 5), (2, 7), (3, 7)))
+
+
+def run_child(argv, timeout):
+    """`python -m cicodes.cli argv` in a child process, so that a hang fails
+    the test by TimeoutExpired instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "cicodes.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.fixture
 def write(tmp_path):
     def _write(text, name="variety.txt"):
@@ -113,6 +127,17 @@ def test_huge_power_of_sum_exit_2(write, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: product of ")
     assert captured.err.count("\n") == 1
+
+
+def test_points_cut_work_limit_exit_2(write):
+    """1,771 terms at each of the 30,784 points of P^3(F_31) are refused
+    before the walk."""
+    proc = run_child(["points", write("field p=31 e=1\nvars m=3\n"
+                                      "poly (x0 + x1 + x2 + x3)^20\n")], timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: cutting the 30784 points of P^3(F_31) by 1771 terms "
+                           "would take more than 1000000 point-term evaluations\n")
 
 
 @pytest.mark.parametrize("m", ["-1", "0"])
@@ -322,15 +347,31 @@ def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
     path = str(tmp_path / "variety.txt")
     assert main(["family", "rs", "--q", q, "--out", path]) == 0
     capsys.readouterr()
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "cicodes.cli", "hilbert", path],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_child(["hilbert", path], timeout=60)
     s = int(q) - 2
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (f"error: hilbert over degrees 0..{s + 1} would build "
                            f"more than 10000000 evaluation-matrix entries\n")
 
+
+@pytest.mark.parametrize("family,argv,what", [
+    (None, ["hilbert"], "hilbert over degrees 0..16"),  # 2.7 * 10^8
+    (None, ["cb", "--degrees", "0..16", "--budget", "64"], "degrees 0..16"),  # 2.3 * 10^11
+    (("rs", "--q", "4096"), ["analyze", "--degree", "2000"], "degree 2000"),  # 1.6 * 10^10
+])
+def test_elimination_work_limit_exit_2(capsys, write, family, argv, what):
+    """Within the entry limit, rows x cols x min(n, cols) past 10^8 is refused
+    before any output."""
+    path = write(GRID_245)
+    if family:  # in place of the grid
+        assert main(["family", *family, "--out", path]) == 0
+        capsys.readouterr()
+    proc = run_child([argv[0], path, *argv[1:]], timeout=8)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: {what} would take more than 100000000 "
+                           f"field operations to eliminate\n")
 
 
 def test_analyze_long_words_in_time(capsys, tmp_path):
@@ -341,10 +382,7 @@ def test_analyze_long_words_in_time(capsys, tmp_path):
     path = str(tmp_path / "variety.txt")
     assert main(["family", "rs", "--q", "6561", "--out", path]) == 0
     capsys.readouterr()
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "cicodes.cli", "analyze", path,
-                           "--degree", "1", "--no-range-check"],
-                          capture_output=True, text=True, env=env, timeout=20)
+    proc = run_child(["analyze", path, "--degree", "1", "--no-range-check"], timeout=20)
     assert proc.returncode == 0
     assert proc.stdout == ("n=6561 k=2 d=6560 bound=6560 singleton=6560 mds=true "
                            "mds_sufficient=true\n")
@@ -416,6 +454,19 @@ def test_family_m_refused_exit_2(capsys, tmp_path, args, message):
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["rm", "rs", "hermitian"])
+@pytest.mark.parametrize("q,message", [
+    ("1000000007", "q = 1000000007 exceeds 65536"),  # refused before factoring
+    ("131072", "q = 131072 exceeds 65536"),
+    ("1000", "1000 is not a prime power"),
+])
+def test_family_q_refused_exit_2(kind, q, message):
+    proc = run_child(["family", kind, "--q", q, "--m", "2"], timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_family_unknown_kind(capsys):

@@ -5,7 +5,7 @@ import contextlib
 import io
 import signal
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cicodes.cli import main
@@ -22,8 +22,8 @@ def _alarm(signum, frame):
 
 
 # Header values the loader refuses: not integers, too long, not prime, or a
-# q or P^m past its limit.  A header that the loader accepts but whose P^m
-# has 10^5 to 10^7 points takes up to a minute to scan; none is drawn.
+# q or P^m past its limit.  Some it accepts: "9" as `vars m` over F_5 gives
+# a P^9 of 2,441,406 points, which the variety cut refuses by its work.
 BAD_INTEGERS = st.sampled_from(
     ["-3", "-1", "0", "1", "4", "9", "abc", "", "+", "-0", "3.0", "2000000",
      "65537", "9" * 30, "9" * 5000])
@@ -122,6 +122,12 @@ COMMANDS = st.one_of(
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(text=variety_files(), command=COMMANDS)
+# once past the deadline: a cut of P^9(F_5), and sigma's eliminations on the
+# 5 x 7 x 7 grid of points in P^3(F_7)
+@example(text="field p=5 e=1\nvars m=9\npoly (x1 - 0*x0)\n", command=["points"])
+@example(text="field p=7 e=1\nvars m=3\n" + "".join(
+    "poly " + " * ".join(f"(x{i} - {c}*x0)" for c in range(k)) + "\n"
+    for i, k in ((1, 5), (2, 7), (3, 7))), command=["hilbert"])
 def test_fuzzed_variety_file_ends_cleanly(tmp_path, text, command):
     path = tmp_path / "variety.txt"
     path.write_text(text)

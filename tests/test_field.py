@@ -11,7 +11,7 @@ from cicodes.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
-from cicodes.gf import Field, _is_prime
+from cicodes.gf import Field, _is_prime, _prime_factors, _prime_power
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
@@ -93,6 +93,34 @@ def test_not_prime():
 def test_too_large():
     with pytest.raises(FieldTooLargeError):
         field_new(2, 17)
+
+
+def test_prime_factors_against_divisor_scan():
+    for n in range(-3, 2000):
+        assert _prime_factors(n) == [d for d in range(2, n + 1)
+                                     if n % d == 0 and all(d % r for r in range(2, d))], n
+
+
+def test_prime_power_up_to_1024():
+    """(p, e) for every prime power q <= 1024; today's message for the rest."""
+    powers = {p ** e: (p, e) for p, e in _fields_up_to(1024)}
+    for q in range(2, 1025):
+        if q in powers:
+            assert _prime_power(q) == powers[q]
+        else:
+            with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+                _prime_power(q)
+
+
+@pytest.mark.parametrize("q,error,message", [
+    (1, ValueError, "q must be a prime power >= 2, got 1"),
+    (-7, ValueError, "q must be a prime power >= 2, got -7"),
+    (65537, FieldTooLargeError, "q = 65537 exceeds 65536"),
+    (2 ** 127 - 1, FieldTooLargeError, f"q = {2 ** 127 - 1} exceeds 65536"),  # a prime
+])
+def test_prime_power_refused(q, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        _prime_power(q)
 
 
 def test_f4_forced_products():

@@ -10,6 +10,7 @@ from cicodes import (
     variety_points,
 )
 from cicodes.errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
+from cicodes.geometry import check_space
 
 
 @pytest.mark.parametrize("m,q_spec,expected", [
@@ -23,7 +24,7 @@ def test_projective_counts(m, q_spec, expected):
     field = field_new(*q_spec)
     pts = enumerate_projective(m, field)
     q = field.q
-    assert len(pts) == expected == (q ** (m + 1) - 1) // (q - 1)
+    assert len(pts) == expected == (q ** (m + 1) - 1) // (q - 1) == check_space(m, q)
 
 
 def test_points_normalized_distinct_sorted():
@@ -64,6 +65,16 @@ def test_hermitian_points_q2():
              parse("x2^2 + x2*x0 + x0^2", 2, f4)]
     pts = variety_points(polys, 2, f4)
     assert len(pts) == 6  # q^3 - q
+
+
+def test_cut_work_limit():
+    """|P^m| x (1 + terms) is bounded before the walk: 30,784 x 1,772 here."""
+    f31 = field_new(31, 1)
+    poly = parse("(x0 + x1 + x2 + x3)^20", 3, f31)
+    with pytest.raises(SpaceTooLargeError, match="^cutting the 30784 points of "
+                       "P\\^3\\(F_31\\) by 1771 terms would take more than 1000000 "
+                       "point-term evaluations$"):
+        variety_points([poly], 3, f31)
 
 
 def test_non_homogeneous_rejected():

@@ -20,6 +20,7 @@ from cicodes import (
 )
 from cicodes.errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from cicodes.geometry import PointSet
+from cicodes.theorems import cb_split_count
 
 
 def test_ci_setup_rejects_non_split(f3):
@@ -93,6 +94,17 @@ def test_cb_all_sampled_is_seeded(rs7_m2):
     assert not r1.exhaustive
     assert r1 == r2
     assert r1.violations == ()
+
+
+@pytest.mark.parametrize("budget", [1, 3, 4, 5, 16, 17, 20, 64])
+def test_cb_split_count_is_splits_checked(two_conic, budget):
+    """The count the CLI bounds is the count the walk checks: all 16 splits of
+    4 points within the budget, else max(budget, 10) masks, at most 16."""
+    report = verify_cb_all(two_conic, 1, budget=budget)
+    assert report.splits_checked == cb_split_count(4, budget) == \
+        (16 if budget >= 16 else min(16, max(budget, 10)))
+    assert report.exhaustive == (budget >= 16)
+    assert report.violations == ()
 
 
 def test_projection_injectivity_two_conic(two_conic):
