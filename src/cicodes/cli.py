@@ -24,6 +24,7 @@ from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
 from .poly import parse as parse_poly, poly_text
 from .theorems import (
+    bound_report,
     cb_split_count,
     ci_setup,
     is_cb_scheme,
@@ -134,17 +135,12 @@ def cmd_analyze(args) -> int:
     _check_elimination_work(setup.n, vf.m, [(setup.n, a)], f"degree {a}")
     if 1 <= a <= setup.s:
         report = verify_main_theorem(setup, a, cap=args.cap)
-        print(report.line())
-        code = build_code(setup.gamma, a) if args.emit_matrix else None
-    else:
+    else:  # --no-range-check: the same parameters, with no bound claimed
         code = build_code(setup.gamma, a)
-        dist = min_distance(code, cap=args.cap)
-        singleton = code.n - code.k + 1
-        print(f"n={code.n} k={code.k} d={dist.d} bound={setup.s - a + 2} "
-              f"singleton={singleton} mds={str(dist.d == singleton).lower()} "
-              f"mds_sufficient=false")
+        report = bound_report(setup, code, min_distance(code, cap=args.cap).d)
+    print(report.line())
     if args.emit_matrix:
-        for row in code.gen:
+        for row in report.gen:
             print(" ".join(str(x) for x in row))
     return EXIT_OK
 
@@ -213,16 +209,15 @@ def cmd_cb(args) -> int:
 def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    # sigma's scan builds e_0 .. e_{s+1} on a complete intersection
+    degrees = range(setup.s + 2)  # profile's scan eliminates e_0 .. e_{s+1} on a CI
     what = f"hilbert over degrees 0..{setup.s + 1}"
-    _check_matrix_entries(setup.n, vf.m, range(0, setup.s + 2), what)
-    _check_elimination_work(setup.n, vf.m, ((setup.n, b) for b in range(0, setup.s + 2)),
-                            what)
-    prof = profile(setup.gamma, len(setup.gamma))
+    _check_matrix_entries(setup.n, vf.m, degrees, what)
+    _check_elimination_work(setup.n, vf.m, ((setup.n, b) for b in degrees), what)
+    prof = profile(setup.gamma, setup.n)
     for line in prof.lines():
         print(line)
-    print(f"symmetry={'pass' if verify_symmetry(setup) else 'fail'}")
-    print(f"cb_scheme={str(is_cb_scheme(setup.gamma)).lower()}")
+    print(f"symmetry={'pass' if verify_symmetry(setup, prof) else 'fail'}")
+    print(f"cb_scheme={str(is_cb_scheme(setup.gamma, prof.sigma)).lower()}")
     return EXIT_OK
 
 

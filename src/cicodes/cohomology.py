@@ -8,7 +8,6 @@ degree s - a usable across the whole degree window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .code import evaluation_matrix
@@ -16,7 +15,6 @@ from .geometry import PointSet
 from .linalg import rank as matrix_rank
 
 
-@lru_cache(maxsize=256)  # a run reuses a few dozen (Gamma, degree) ranks
 def rank_e(gamma: PointSet, a: int) -> int:
     """Rank of the evaluation map e_a; 0 in negative degrees."""
     if a < 0 or not gamma.points:
@@ -26,9 +24,7 @@ def rank_e(gamma: PointSet, a: int) -> int:
 
 def h0(gamma: PointSet, a: int) -> int:
     """Dimension of the degree-a forms vanishing on Gamma (kernel of e_a)."""
-    if a < 0:
-        return 0
-    return comb(a + gamma.m, gamma.m) - rank_e(gamma, a)
+    return comb(a + gamma.m, gamma.m) - rank_e(gamma, a) if a >= 0 else 0
 
 
 def h1(gamma: PointSet, a: int) -> int:
@@ -40,41 +36,50 @@ def imposes_independent_conditions(gamma: PointSet, a: int) -> bool:
     return h1(gamma, a) == 0
 
 
-def hilbert_function(gamma: PointSet, a: int) -> int:
-    """dim (R/I_Gamma)_a = rank(e_a); 0 for a < 0."""
-    return rank_e(gamma, a)
+hilbert_function = rank_e  # dim (R/I_Gamma)_a = rank(e_a); 0 for a < 0
 
 
 def sigma(gamma: PointSet) -> int:
-    """Largest a with h1 > 0, or -1: one less than the first a of full rank
-    (a = |Gamma| - 1 at the latest for distinct points).  Rank never falls:
-    over an extension of F_q (same rank) a linear form L misses every point,
-    none need exist over F_q, and L*f in I_Gamma forces f in I_Gamma."""
-    a = 0
-    while a < len(gamma) - 1 and rank_e(gamma, a) < len(gamma):
-        a += 1
-    return a - 1
+    """Largest a with h1 > 0, or -1, from `profile`'s upward scan."""
+    return profile(gamma, -1).sigma
 
 
 @dataclass(frozen=True)
 class CohomologyProfile:
     gamma: PointSet
-    table: tuple  # rows (a, dim_Ra, rank, h0, h1) for a in [-1, a_max]
-    sigma: int
+    ranks: tuple  # rank e_0 .. e_sigma, each below |Gamma|
+    a_max: int  # the table covers a in [-1, a_max]
+
+    @property
+    def sigma(self):
+        return len(self.ranks) - 1
+
+    def rank(self, a: int) -> int:
+        """rank e_a: 0 in negative degrees, |Gamma| above sigma."""
+        return self.ranks[a] if 0 <= a <= self.sigma else 0 if a < 0 else len(self.gamma)
+
+    @property
+    def table(self):
+        """Rows (a, dim_Ra, rank, h0, h1) for a in [-1, a_max]; dim_Ra = 0 at a = -1."""
+        n, m = len(self.gamma), self.gamma.m
+        ranks = ((a, comb(a + m, m), self.rank(a)) for a in range(-1, self.a_max + 1))
+        return tuple((a, dim, rk, dim - rk, n - rk) for a, dim, rk in ranks)
 
     def lines(self):
-        out = ["    a  dimRa   rank     h0     h1"]
-        for a, dim_ra, rk, h0_a, h1_a in self.table:
-            out.append(f"{a:5d} {dim_ra:6d} {rk:6d} {h0_a:6d} {h1_a:6d}")
-        out.append(f"sigma={self.sigma}")
-        return out
+        rows = (f"{a:5d} {dim:6d} {rk:6d} {h0_a:6d} {h1_a:6d}"
+                for a, dim, rk, h0_a, h1_a in self.table)
+        return ["    a  dimRa   rank     h0     h1", *rows, f"sigma={self.sigma}"]
 
 
 def profile(gamma: PointSet, a_max: int) -> CohomologyProfile:
-    sg, n = sigma(gamma), len(gamma)
-    rows = []
-    for a in range(-1, a_max + 1):
-        dim_ra = comb(a + gamma.m, gamma.m) if a >= 0 else 0
-        rk = rank_e(gamma, a) if a <= sg else n  # full rank past sigma
-        rows.append((a, dim_ra, rk, dim_ra - rk, n - rk))
-    return CohomologyProfile(gamma, tuple(rows), sg)
+    """Scan rank e_0, e_1, ... upward to the first full rank (by a = |Gamma| - 1
+    for distinct points): sigma + 2 eliminations give every rank.  Rank never
+    falls: over an extension of F_q (same rank) a linear form L misses every
+    point, none need exist over F_q, and L*f in I_Gamma forces f in I_Gamma."""
+    n, ranks = len(gamma), []
+    while len(ranks) < n - 1:
+        rk = rank_e(gamma, len(ranks))
+        if rk == n:
+            break
+        ranks.append(rk)
+    return CohomologyProfile(gamma, tuple(ranks), a_max)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .code import DEFAULT_CAP, build_code, evaluation_matrix, min_distance
-from .cohomology import h0, h1, rank_e, sigma
+from .code import DEFAULT_CAP, EvalCode, build_code, evaluation_matrix, min_distance
+from .cohomology import CohomologyProfile, h0, h1
+from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
 from .linalg import insert, rank, rref
@@ -38,8 +39,7 @@ def ci_setup(polys, m: int, field) -> CISetup:
     val = validate_ci(polys, gamma)
     if not (val.split and val.smooth):
         raise NonSplitError(val.line())
-    s = sum(val.degrees) - m - 1
-    return CISetup(gamma, val.degrees, s)
+    return CISetup(gamma, val.degrees, sum(val.degrees) - m - 1)
 
 
 def residual(gamma: PointSet, gamma_prime: PointSet) -> PointSet:
@@ -52,9 +52,7 @@ def residual(gamma: PointSet, gamma_prime: PointSet) -> PointSet:
 def cb_identity(setup: CISetup, a: int, gamma_prime: PointSet):
     """Both sides of h0(Gamma',a) - h0(Gamma,a) = h1(Gamma'', s-a)."""
     gamma_second = residual(setup.gamma, gamma_prime)
-    lhs = h0(gamma_prime, a) - h0(setup.gamma, a)
-    rhs = h1(gamma_second, setup.s - a)
-    return lhs, rhs
+    return h0(gamma_prime, a) - h0(setup.gamma, a), h1(gamma_second, setup.s - a)
 
 
 @dataclass(frozen=True)
@@ -66,12 +64,11 @@ class CBReport:
     seed: int
 
     def lines(self):
-        out = [f"a={self.degree} splits={self.splits_checked} "
-               f"exhaustive={str(self.exhaustive).lower()} "
-               f"violations={len(self.violations)}"]
-        for mask, lhs, rhs in self.violations:
-            out.append(f"violation mask={mask} lhs={lhs} rhs={rhs}")
-        return out
+        head = (f"a={self.degree} splits={self.splits_checked} "
+                f"exhaustive={str(self.exhaustive).lower()} "
+                f"violations={len(self.violations)}")
+        return [head, *(f"violation mask={mask} lhs={lhs} rhs={rhs}"
+                        for mask, lhs, rhs in self.violations)]
 
 
 def cb_split_count(n: int, budget: int) -> int:
@@ -177,6 +174,7 @@ class BoundReport:
     singleton: int
     mds: bool
     mds_sufficient: bool
+    gen: tuple  # the code's RREF generator rows
 
     def line(self):
         return (f"n={self.n} k={self.k} d={self.d_exact} bound={self.bound} "
@@ -184,25 +182,27 @@ class BoundReport:
                 f"mds_sufficient={str(self.mds_sufficient).lower()}")
 
 
+def bound_report(setup: CISetup, code: EvalCode, d: int) -> BoundReport:
+    """A code C(Gamma)_a of minimum distance d against s - a + 2 and Singleton at
+    any degree a; mds_sufficient (n - k <= s - a + 1) holds only for 1 <= a <= s."""
+    a = code.degree
+    singleton = code.n - code.k + 1
+    mds_sufficient = 1 <= a <= setup.s and setup.s - a >= code.n - code.k - 1
+    return BoundReport(a, code.n, code.k, d, setup.s - a + 2, singleton,
+                       d == singleton, mds_sufficient, code.gen)
+
+
 def verify_main_theorem(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> BoundReport:
     """Exact parameters of C(Gamma)_a against the distance bound and Singleton."""
-    bound = hansen_bound(setup, a)
+    hansen_bound(setup, a)  # refuses a outside [1, s]
     code = build_code(setup.gamma, a)
-    dist = min_distance(code, cap=cap)
-    singleton = code.n - code.k + 1
-    mds = dist.d == singleton
-    mds_sufficient = setup.s - a >= code.n - code.k - 1  # h1(Gamma, a) = n - k
-    return BoundReport(a, code.n, code.k, dist.d, bound, singleton,
-                       mds, mds_sufficient)
+    return bound_report(setup, code, min_distance(code, cap=cap).d)
 
 
-def verify_symmetry(setup: CISetup) -> bool:
-    """rank(e_a) + rank(e_{s-a}) = |Gamma| over the whole window [-1, s+1]."""
-    n = setup.n
-    for a in range(-1, setup.s + 2):
-        if rank_e(setup.gamma, a) + rank_e(setup.gamma, setup.s - a) != n:
-            return False
-    return True
+def verify_symmetry(setup: CISetup, prof: CohomologyProfile) -> bool:
+    """rank(e_a) + rank(e_{s-a}) = |Gamma| for a in [-1, s+1], read from `prof`."""
+    return all(prof.rank(a) + prof.rank(setup.s - a) == setup.n
+               for a in range(-1, setup.s + 2))
 
 
 def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool:
@@ -215,12 +215,11 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool
     return mds_exact == _every_subset_has_rank(rows, size, size, setup.gamma.field)
 
 
-def is_cb_scheme(gamma: PointSet) -> bool:
-    """Dropping any one point keeps h0 in degree sigma(Gamma) unchanged: every
-    point lies in the support of a relation among the rows of e_sigma.  In the
-    RREF of the transpose every free column does, and a pivot column does iff
-    its pivot row is nonzero in a free column.  Vacuous when sigma = -1."""
-    red, pivots = rref(list(zip(*evaluation_matrix(gamma, sigma(gamma)).rows)),
-                       gamma.field)
+def is_cb_scheme(gamma: PointSet, sg: int) -> bool:
+    """Dropping any one point keeps h0 in degree sg = sigma(Gamma) unchanged:
+    every point lies in the support of a relation among the rows of e_sg.  In
+    the RREF of the transpose every free column does, and a pivot column does
+    iff its pivot row is nonzero in a free column.  Vacuous when sg = -1."""
+    red, pivots = rref(list(zip(*evaluation_matrix(gamma, sg).rows)), gamma.field)
     free = set(range(len(gamma))) - set(pivots)
     return all(any(row[c] for c in free) for row in red)

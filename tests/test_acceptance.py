@@ -17,6 +17,7 @@ from cicodes import (
     h1,
     hermitian_ci,
     min_distance,
+    profile,
     rank_e,
     reed_muller_ci,
     rm_exact_distance,
@@ -127,7 +128,7 @@ def test_06_hilbert_symmetry(corpus):
         for a in range(-1, setup.s + 2):
             assert rank_e(setup.gamma, a) + rank_e(setup.gamma, setup.s - a) == n, \
                 (name, a)
-        assert verify_symmetry(setup)
+        assert verify_symmetry(setup, profile(setup.gamma, setup.s + 1))
         # sigma = s
         assert h1(setup.gamma, setup.s) > 0, name
         assert h1(setup.gamma, setup.s + 1) == 0, name

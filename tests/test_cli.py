@@ -218,6 +218,28 @@ def test_analyze_emit_matrix(write, capsys):
         assert len(row.split()) == 4
 
 
+@pytest.mark.parametrize("degree,flags", [("1", ()), ("0", ("--no-range-check",))])
+def test_analyze_builds_the_code_once(write, capsys, monkeypatch, degree, flags):
+    """The report and the emitted generator come from one build, in and out of range."""
+    from cicodes import cli, theorems
+    calls = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, theorems):
+        monkeypatch.setattr(module, "build_code", counted(module.build_code))
+    code, out = run(capsys, ["analyze", write(TWO_CONIC), "--degree", degree,
+                             "--emit-matrix", *flags])
+    assert code == 0
+    assert len(calls) == 1
+    in_range = not flags
+    assert out.splitlines()[0].endswith(f"mds_sufficient={str(in_range).lower()}")
+
+
 def test_analyze_range_check(write, capsys):
     code, _ = run(capsys, ["analyze", write(RM3), "--degree", "9"])
     assert code == 1
@@ -342,7 +364,7 @@ def test_hilbert_rm3(write, capsys):
 
 @pytest.mark.parametrize("q", ["4096", "6561"])
 def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
-    """sigma's scan over e_0 .. e_{s+1} on q + 1 points is refused before any
+    """profile's scan over e_0 .. e_{s+1} on q + 1 points is refused before any
     output.  A child process with a timeout keeps a hang from stalling the suite."""
     path = str(tmp_path / "variety.txt")
     assert main(["family", "rs", "--q", q, "--out", path]) == 0
@@ -397,6 +419,38 @@ def test_hilbert_single_point(write, capsys):
     code, out = run(capsys, ["hilbert", write(SINGLE_POINT)])
     assert code == 0
     assert "sigma=-1" in out
+
+
+@pytest.mark.parametrize("family,eliminations", [
+    (("rm", "--q", "7", "--m", "2"), 13), (("rm", "--q", "5", "--m", "2"), 9),
+    (("hermitian", "--q", "3"), 9)])
+def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
+                                             family, eliminations):
+    """One hilbert run makes sigma + 2 ranks (e_0 .. e_{sigma+1}) and one RREF
+    (e_sigma's transpose), and a second run in the same process makes as many."""
+    from cicodes import cohomology, theorems
+    path = str(tmp_path / "ci.txt")
+    assert main(["family", *family, "--out", path]) == 0
+    counts = {"rank": 0, "rref": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cohomology, "matrix_rank",
+                        counted("rank", cohomology.matrix_rank))
+    monkeypatch.setattr(theorems, "rref", counted("rref", theorems.rref))
+    capsys.readouterr()
+    outputs = []
+    for _ in range(2):
+        assert main(["hilbert", path]) == 0
+        outputs.append(capsys.readouterr().out)
+        assert counts == {"rank": eliminations, "rref": 1}
+        counts.update(rank=0, rref=0)
+    assert outputs[0] == outputs[1]
+    assert f"sigma={eliminations - 2}\n" in outputs[0]
 
 
 def test_family_rm(write, capsys, tmp_path):

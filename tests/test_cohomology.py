@@ -6,12 +6,17 @@ from math import comb
 import pytest
 
 from cicodes import (
+    ci_setup,
+    extended_rs,
     field_new,
     h0,
     h1,
+    hermitian_ci,
     hilbert_function,
     imposes_independent_conditions,
     profile,
+    rank_e,
+    reed_muller_ci,
     sigma,
 )
 from cicodes.geometry import PointSet
@@ -102,3 +107,40 @@ def test_profile_serialization(rm3):
     assert prof.table[0][0] == -1
     row_a3 = [r for r in prof.table if r[0] == 3][0]
     assert row_a3 == (3, 10, 8, 2, 1)
+
+
+def ci_hilbert_function(degrees, m, a):
+    """[t^a] prod_i (1 - t^{d_i}) / (1 - t)^{m+1}: the Hilbert function of a
+    reduced complete intersection of degrees d_1..d_m in P^m, found without
+    any elimination."""
+    numerator = {0: 1}  # prod_i (1 - t^{d_i}), exponent -> coefficient
+    for d in degrees:
+        product = dict(numerator)
+        for j, c in numerator.items():
+            product[j + d] = product.get(j + d, 0) - c
+        numerator = product
+    return sum(c * comb(a - j + m, m) for j, c in numerator.items() if j <= a)
+
+
+@pytest.fixture(scope="module")
+def ci_families(corpus):
+    """Every complete intersection the tests build, plus the benchmark's."""
+    built = dict(corpus)
+    for name, (polys, spec) in {"rm_q4_m2": reed_muller_ci(4, 2),
+                                "rm_q7_m2": reed_muller_ci(7, 2),
+                                "hermitian_q3": hermitian_ci(3),
+                                "rs_q16_m1": extended_rs(16, 1)}.items():
+        built[name] = ci_setup(polys, spec.m, spec.field)
+    return built
+
+
+def test_ci_hilbert_function_oracle(ci_families):
+    """rank e_a, by elimination and in the profile, equals the CI Hilbert
+    function at every degree -1 .. s + 1, and sigma = s."""
+    for name, setup in ci_families.items():
+        m, window = setup.gamma.m, range(-1, setup.s + 2)
+        expected = [ci_hilbert_function(setup.degrees, m, a) for a in window]
+        prof = profile(setup.gamma, setup.s + 1)
+        assert [row[2] for row in prof.table] == expected, name
+        assert [rank_e(setup.gamma, a) for a in window] == expected, name
+        assert prof.sigma == setup.s and expected[-1] == setup.n, name

@@ -129,14 +129,15 @@ def test_fast_paths_match_reference(q, picks, a_max):
     prof = profile(gamma, a_max)
     assert sigma(gamma) == prof.sigma
     assert (prof.table, prof.sigma) == profile_reference(gamma, a_max)
-    assert is_cb_scheme(gamma) == is_cb_scheme_reference(gamma)
+    assert is_cb_scheme(gamma, prof.sigma) == is_cb_scheme_reference(gamma)
 
 
 def test_examples_cover_both_verdicts():
     plane = PLANES[5]
-    assert is_cb_scheme(plane.subset(GRID_3X3))
-    assert is_cb_scheme(plane.subset(TWO_CONICS))
-    assert not is_cb_scheme(plane.subset(LINE_AT_INFINITY + [6]))
+    for picks, verdict in ((GRID_3X3, True), (TWO_CONICS, True),
+                           (LINE_AT_INFINITY + [6], False)):
+        gamma = plane.subset(picks)
+        assert is_cb_scheme(gamma, sigma(gamma)) is verdict
 
 
 def verify_cb_all_reference(setup, a, budget, seed):

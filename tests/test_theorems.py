@@ -10,8 +10,10 @@ from cicodes import (
     hansen_bound,
     is_cb_scheme,
     parse,
+    profile,
     rank_e,
     residual,
+    sigma,
     verify_cb_all,
     verify_main_theorem,
     verify_mds_corollary,
@@ -167,7 +169,7 @@ def test_code_at_s_is_mds(corpus):
 
 def test_symmetry(corpus):
     for name, setup in corpus.items():
-        assert verify_symmetry(setup), name
+        assert verify_symmetry(setup, profile(setup.gamma, setup.s + 1)), name
 
 
 def test_symmetry_rank_values(two_conic, rm3):
@@ -204,18 +206,19 @@ def test_mds_corollary_witness_rm3(rm3):
 
 def test_is_cb_scheme_corpus(corpus):
     for name, setup in corpus.items():
-        assert is_cb_scheme(setup.gamma), name
+        assert is_cb_scheme(setup.gamma, sigma(setup.gamma)), name
 
 
 def test_is_cb_scheme_diagnostic(f5):
     # two collinear points plus one off the line: not a CI; just report
     pts = PointSet(((1, 0, 0), (1, 1, 0), (1, 0, 1)), 2, f5)
-    result = is_cb_scheme(pts)
+    result = is_cb_scheme(pts, sigma(pts))
     assert isinstance(result, bool)
 
 
 def test_is_cb_scheme_single_point(f5):
-    assert is_cb_scheme(PointSet(((1, 2, 3),), 2, f5))
+    single = PointSet(((1, 2, 3),), 2, f5)
+    assert is_cb_scheme(single, sigma(single))
 
 
 def test_lemma21_vanishing_on_subsets(corpus):
