@@ -17,8 +17,8 @@ import sys
 from math import comb
 
 from . import families
-from .code import DEFAULT_CAP, build_code, min_distance
-from .cohomology import profile
+from .code import DEFAULT_CAP, build_code, check_word_cap, min_distance
+from .cohomology import profile, rank_e
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
@@ -133,6 +133,9 @@ def cmd_analyze(args) -> int:
         return EXIT_VALIDATION
     _check_matrix_entries(setup.n, vf.m, [a], f"degree {a}")
     _check_elimination_work(setup.n, vf.m, [(setup.n, a)], f"degree {a}")
+    k = rank_e(setup.gamma, a)  # refuse an over-cap search before building the code
+    if k:  # k = 0 keeps min_distance's zero-code error
+        check_word_cap(vf.field.q, k, args.cap)
     if 1 <= a <= setup.s:
         report = verify_main_theorem(setup, a, cap=args.cap)
     else:  # --no-range-check: the same parameters, with no bound claimed
@@ -213,7 +216,7 @@ def cmd_hilbert(args) -> int:
     what = f"hilbert over degrees 0..{setup.s + 1}"
     _check_matrix_entries(setup.n, vf.m, degrees, what)
     _check_elimination_work(setup.n, vf.m, ((setup.n, b) for b in degrees), what)
-    prof = profile(setup.gamma, setup.n)
+    prof = profile(setup.gamma)
     for line in prof.lines():
         print(line)
     print(f"symmetry={'pass' if verify_symmetry(setup, prof) else 'fail'}")

@@ -12,6 +12,8 @@ from .linalg import nullspace, rref
 from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_CAP = 1 << 22
+F0_SEED = 0  # seed of choose_f0's random search
+F0_TRIALS = 10 ** 4  # forms choose_f0 tries before it gives up
 
 
 def _monomial_row(point, monomials, field):
@@ -54,11 +56,11 @@ def rank_and_kernel(matrix: EvalMatrix):
     return matrix.ncols - len(kernel), kernel
 
 
-def choose_f0(gamma: PointSet, a: int, seed: int = 0, trials: int = 10000) -> Polynomial:
+def choose_f0(gamma: PointSet, a: int) -> Polynomial:
     """A degree-a form nonvanishing on all of Gamma.
 
-    Uses x0^a when every point is affine; otherwise a seeded random search
-    over R_a, failing after the trial budget.
+    Uses x0^a when every point is affine; otherwise a random search over R_a
+    seeded with F0_SEED, failing after F0_TRIALS forms.
     """
     field = gamma.field
     nvars = gamma.m + 1
@@ -66,8 +68,8 @@ def choose_f0(gamma: PointSet, a: int, seed: int = 0, trials: int = 10000) -> Po
         return Polynomial.variable(field, nvars, 0, power=a) if a > 0 \
             else Polynomial.constant(field, nvars, 1)
     monomials = monomials_of_degree(gamma.m, a)
-    rng = random.Random(seed)
-    for _ in range(trials):
+    rng = random.Random(F0_SEED)
+    for _ in range(F0_TRIALS):
         terms = {expo: rng.randrange(field.q) for expo in monomials}
         cand = Polynomial(field, nvars, terms)
         if cand.is_zero():
@@ -76,7 +78,7 @@ def choose_f0(gamma: PointSet, a: int, seed: int = 0, trials: int = 10000) -> Po
             return cand
     raise NoNormalizerFoundError(
         f"no degree-{a} form nonvanishing on all {len(gamma)} points "
-        f"after {trials} trials; pass f0 explicitly")
+        f"after {F0_TRIALS} trials; pass f0 explicitly")
 
 
 @dataclass(frozen=True)
@@ -85,24 +87,26 @@ class EvalCode:
 
     gamma: PointSet
     degree: int
-    n: int
-    k: int
     gen: tuple
-    f0: object = None
 
     @property
     def field(self):
         return self.gamma.field
 
+    @property
+    def n(self):
+        return len(self.gamma)
+
+    @property
+    def k(self):
+        return len(self.gen)
+
 
 def build_code(gamma: PointSet, a: int, f0: Polynomial = None) -> EvalCode:
     """Image of e_a as a code; coordinates divided by f0(p_i) when f0 is given."""
     field = gamma.field
-    n = len(gamma)
-    matrix = evaluation_matrix(gamma, a)
     # spanning vectors of the code: one per monomial, coordinates per point
-    spanning = [[matrix.rows[i][j] for i in range(n)]
-                for j in range(matrix.ncols)]
+    spanning = list(zip(*evaluation_matrix(gamma, a).rows))
     if f0 is not None:
         scalers = []
         for pt in gamma:
@@ -113,15 +117,21 @@ def build_code(gamma: PointSet, a: int, f0: Polynomial = None) -> EvalCode:
         spanning = [[field.mul(s, x) for s, x in zip(scalers, row)]
                     for row in spanning]
     gen, _ = rref(spanning, field)
-    gen = tuple(tuple(row) for row in gen)
-    return EvalCode(gamma, a, n, len(gen), gen, f0)
+    return EvalCode(gamma, a, tuple(tuple(row) for row in gen))
 
 
 @dataclass(frozen=True)
 class DistanceResult:
     d: int
     codewords_scanned: int
-    exact: bool = True
+
+
+def check_word_cap(q: int, k: int, cap: int) -> None:
+    """Refuse to enumerate a k-dimensional code over F_q when its (q^k-1)/(q-1)
+    words, one per projective class, exceed the cap."""
+    words = (q ** k - 1) // (q - 1)
+    if words > cap:
+        raise CapExceededError(words, cap)
 
 
 def _weights(code: EvalCode, cap: int):
@@ -130,8 +140,8 @@ def _weights(code: EvalCode, cap: int):
     digit is a 1 there.  The later digits, written in base p as sum d_i w^i,
     are walked in the modular p-ary Gray code: step t adds 1 to the base-p
     coordinate at the p-adic valuation of t, so the word gains that
-    coordinate's w^i * g_j.  First refuses when the words it would visit,
-    (q^k-1)/(q-1), exceed the cap.
+    coordinate's w^i * g_j.  First refuses, by `check_word_cap`, when the
+    words it would visit exceed the cap.
 
     A word is one int: base-p digit i of coordinate c fills the b-bit lane
     c*e + i.  In characteristic 2, b = 1 and a step is one XOR.  For odd p,
@@ -142,9 +152,7 @@ def _weights(code: EvalCode, cap: int):
     lanes and counts them."""
     gen, field, n, k = code.gen, code.field, code.n, code.k
     p, e, q = field.p, field.e, field.q
-    visited = (q ** k - 1) // (q - 1)
-    if visited > cap:
-        raise CapExceededError(visited, cap)
+    check_word_cap(q, k, cap)
     # w^i * g_j for rows j = k-1 down to 0, i < e: the last row moves fastest
     steps = [[field.mul(p ** i, g) for g in gen[j]]
              for j in range(k - 1, -1, -1) for i in range(e)]

@@ -41,14 +41,13 @@ hilbert_function = rank_e  # dim (R/I_Gamma)_a = rank(e_a); 0 for a < 0
 
 def sigma(gamma: PointSet) -> int:
     """Largest a with h1 > 0, or -1, from `profile`'s upward scan."""
-    return profile(gamma, -1).sigma
+    return profile(gamma).sigma
 
 
 @dataclass(frozen=True)
 class CohomologyProfile:
     gamma: PointSet
     ranks: tuple  # rank e_0 .. e_sigma, each below |Gamma|
-    a_max: int  # the table covers a in [-1, a_max]
 
     @property
     def sigma(self):
@@ -60,9 +59,9 @@ class CohomologyProfile:
 
     @property
     def table(self):
-        """Rows (a, dim_Ra, rank, h0, h1) for a in [-1, a_max]; dim_Ra = 0 at a = -1."""
+        """Rows (a, dim_Ra, rank, h0, h1) for a in [-1, |Gamma|]; dim_Ra = 0 at a = -1."""
         n, m = len(self.gamma), self.gamma.m
-        ranks = ((a, comb(a + m, m), self.rank(a)) for a in range(-1, self.a_max + 1))
+        ranks = ((a, comb(a + m, m), self.rank(a)) for a in range(-1, n + 1))
         return tuple((a, dim, rk, dim - rk, n - rk) for a, dim, rk in ranks)
 
     def lines(self):
@@ -71,7 +70,7 @@ class CohomologyProfile:
         return ["    a  dimRa   rank     h0     h1", *rows, f"sigma={self.sigma}"]
 
 
-def profile(gamma: PointSet, a_max: int) -> CohomologyProfile:
+def profile(gamma: PointSet) -> CohomologyProfile:
     """Scan rank e_0, e_1, ... upward to the first full rank (by a = |Gamma| - 1
     for distinct points): sigma + 2 eliminations give every rank.  Rank never
     falls: over an extension of F_q (same rank) a linear form L misses every
@@ -82,4 +81,4 @@ def profile(gamma: PointSet, a_max: int) -> CohomologyProfile:
         if rk == n:
             break
         ranks.append(rk)
-    return CohomologyProfile(gamma, tuple(ranks), a_max)
+    return CohomologyProfile(gamma, tuple(ranks))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DegreeOutOfRangeError
 from .geometry import check_space
-from .gf import Field, _prime_power, field_new
+from .gf import Field, _prime_power, field_new, power
 from .poly import Polynomial
 
 
@@ -84,8 +84,10 @@ def rm_exact_distance(q: int, m: int, a: int) -> int:
 
 def hermitian_ci(q: int):
     """Hermitian curve x1^{q+1} - x2^q x0 - x2 x0^q over F_{q^2}, intersected
-    with the product of the lines x2 = alpha*x0 over alpha with
-    alpha^q + alpha != 0.  Gamma is the q^3 - q affine points with x1 != 0."""
+    with the product of the lines x2 = alpha*x0 over alpha with alpha^q +
+    alpha != 0: T^{q-1} - x0^{q^2-q} for T = x2^q + x0^{q-1} x2, since at x0 = 1
+    the product over all alpha, X^{q^2} - X, is T^q - T, and T the one over
+    the rest.  Gamma is the q^3 - q affine points with x1 != 0."""
     p, e = _prime_power(q)
     field = field_new(p, 2 * e)
     nvars = 3
@@ -97,17 +99,8 @@ def hermitian_ci(q: int):
         tuple(t1): field.neg(1),
         tuple(t2): field.neg(1),
     })
-    product = Polynomial.constant(field, nvars, 1)
-    nfactors = 0
-    for alpha in field.elements():
-        if field.add(field.pow(alpha, q), alpha) == 0:
-            continue
-        line = Polynomial(field, nvars, {
-            (0, 0, 1): 1,
-            (1, 0, 0): field.neg(alpha),
-        })
-        product = product * line
-        nfactors += 1
-    assert nfactors == q * q - q
+    trace = Polynomial(field, nvars, {(0, 0, q): 1, (q - 1, 0, 1): 1})
+    product = (power(trace, q - 1, Polynomial.__mul__, Polynomial.constant(field, nvars, 1))
+               - Polynomial.variable(field, nvars, 0, power=q * q - q))
     spec = FamilySpec("hermitian", q, 2, (q + 1, q * q - q), field)
     return [curve, product], spec

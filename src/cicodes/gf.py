@@ -3,7 +3,8 @@
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
 i.e. x = sum c_i * w^i.  Products, inverses, powers, monomials and negatives
-are lookups in log/antilog tables; addition is digitwise mod p.
+are lookups in log/antilog tables; addition is mod p (e = 1), XOR (p = 2), a
+q x q table for odd q <= 512, or digit-wise mod p above that.
 """
 
 from __future__ import annotations
@@ -16,6 +17,17 @@ from .errors import (
 )
 
 MAX_Q = 1 << 16
+
+
+def power(x, n: int, mul, one):
+    """x^n for an integer n >= 0 by left-to-right square-and-multiply: per bit
+    of n, square the result, then multiply it by x if the bit is set."""
+    out = one
+    for bit in bin(n)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
 
 
 def _prime_factors(n: int) -> list:
@@ -175,9 +187,6 @@ class Field:
         """The residue class w of the modulus variable (only nontrivial for e > 1)."""
         return self.p % self.q
 
-    def elements(self):
-        return range(self.q)
-
     # -- table construction --
 
     def _mul_slow(self, a: int, b: int) -> int:
@@ -209,21 +218,9 @@ class Field:
         else:
             self.add = self._add_digits
         primes = _prime_factors(q - 1)
-
-        def power(x, n):  # square-and-multiply
-            if e == 1:
-                return pow(x, n, p)
-            out = 1
-            while n:
-                if n & 1:
-                    out = self._mul_slow(out, x)
-                n >>= 1
-                if n:
-                    x = self._mul_slow(x, x)
-            return out
-
+        mul = (lambda a, b: a * b % p) if e == 1 else self._mul_slow
         g = next(g for g in range(1, q)
-                 if all(power(g, (q - 1) // r) != 1 for r in primes))
+                 if all(power(g, (q - 1) // r, mul, 1) != 1 for r in primes))
         if e == 1:
             step = lambda x: x * g % p
         else:

@@ -31,9 +31,12 @@ def insert(basis, row, field: Field) -> bool:
 
 
 def rank(rows, field: Field) -> int:
-    """Rank as the size of the echelon basis the rows insert into."""
+    """Rank as the size of the echelon basis the rows insert into; stops once
+    the basis is as long as a row, since no row can grow it further."""
     basis = []
     for row in rows:
+        if len(basis) == len(row):
+            break
         insert(basis, row, field)
     return len(basis)
 
@@ -52,9 +55,8 @@ def rref(rows, field: Field):
     return [row for _, row in reduced], [c for c, _ in reduced]
 
 
-def nullspace(rows, field: Field, ncols=None):
+def nullspace(rows, field: Field, ncols: int):
     """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    ncols = len(rows[0]) if ncols is None else ncols  # required when rows is empty
     red, pivots = rref(rows, field)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):

@@ -11,7 +11,7 @@ import re
 from math import comb
 
 from .errors import FieldMismatchError, PolySyntaxError, UnknownVariableError
-from .gf import Field
+from .gf import Field, power
 
 
 def monomials_of_degree(m: int, a: int):
@@ -258,12 +258,8 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise PolySyntaxError("exponent must be a non-negative integer")
-            result = Polynomial.constant(self.field, self.m + 1, 1)
-            for bit in bin(int(tok))[2:]:  # square-and-multiply
-                result = self.mul(result, result)
-                if bit == "1":
-                    result = self.mul(result, base)
-            return result
+            return power(base, int(tok), self.mul,
+                         Polynomial.constant(self.field, self.m + 1, 1))
         return base
 
     @staticmethod

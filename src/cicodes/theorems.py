@@ -17,7 +17,7 @@ from .cohomology import CohomologyProfile, h0, h1
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
-from .linalg import insert, rank, rref
+from .linalg import insert, rank
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,9 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool
 def is_cb_scheme(gamma: PointSet, sg: int) -> bool:
     """Dropping any one point keeps h0 in degree sg = sigma(Gamma) unchanged:
     every point lies in the support of a relation among the rows of e_sg.  In
-    the RREF of the transpose every free column does, and a pivot column does
-    iff its pivot row is nonzero in a free column.  Vacuous when sg = -1."""
-    red, pivots = rref(list(zip(*evaluation_matrix(gamma, sg).rows)), gamma.field)
-    free = set(range(len(gamma))) - set(pivots)
-    return all(any(row[c] for c in free) for row in red)
+    the RREF generator of C(Gamma)_sg, the RREF of e_sg's transpose, every
+    free column does, and a pivot column (a row's leading 1) does iff its row
+    is nonzero in a free column.  Vacuous when sg = -1."""
+    gen = build_code(gamma, sg).gen
+    free = set(range(len(gamma))) - {row.index(1) for row in gen}
+    return all(any(row[c] for c in free) for row in gen)

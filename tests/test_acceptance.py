@@ -128,7 +128,7 @@ def test_06_hilbert_symmetry(corpus):
         for a in range(-1, setup.s + 2):
             assert rank_e(setup.gamma, a) + rank_e(setup.gamma, setup.s - a) == n, \
                 (name, a)
-        assert verify_symmetry(setup, profile(setup.gamma, setup.s + 1))
+        assert verify_symmetry(setup, profile(setup.gamma))
         # sigma = s
         assert h1(setup.gamma, setup.s) > 0, name
         assert h1(setup.gamma, setup.s + 1) == 0, name
@@ -229,8 +229,7 @@ def test_09_property_suites(corpus, tmp_path, capsys):
             rows.append(_point_row(rep, 1, 2, f5))
         spanning = [list(col) for col in zip(*rows)]
         gen, _ = rref(spanning, f5)
-        alt_code = EvalCode(gamma, 1, len(gamma), len(gen),
-                            tuple(tuple(r) for r in gen))
+        alt_code = EvalCode(gamma, 1, tuple(tuple(r) for r in gen))
         assert (alt_code.n, alt_code.k, min_distance(alt_code).d) == base
 
     # report byte-stability across --threads {1, 4}

@@ -409,6 +409,25 @@ def test_analyze_long_words_in_time(capsys, tmp_path):
     assert proc.stdout == ("n=6561 k=2 d=6560 bound=6560 singleton=6560 mds=true "
                            "mds_sufficient=true\n")
 
+
+@pytest.mark.parametrize("q,degree,timeout", [(4096, 155, 10), (65536, 38, 20)])
+def test_analyze_over_cap_refused_before_elimination(capsys, tmp_path, q, degree, timeout):
+    """Extended RS over F_4096 at degree 155 and over F_65536 at degree 38
+    pass the elimination bound, but k = degree + 1 needs more words than the
+    default cap.  `analyze` refuses on the rank of e_a's point rows, which
+    stops after k rows, before the RREF of the k x n transpose that builds
+    the generator (28 and 63 s on a 2-vCPU host when that came first).  The
+    child's timeout turns a regression into a failure, not a stall."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", "rs", "--q", str(q), "--out", path]) == 0
+    capsys.readouterr()
+    proc = run_child(["analyze", path, "--degree", str(degree)], timeout=timeout)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    words = (q ** (degree + 1) - 1) // (q - 1)
+    assert proc.stderr == f"error: enumeration needs {words} words, cap is 4194304\n"
+
+
 def test_hilbert_two_conic(write, capsys):
     code, out = run(capsys, ["hilbert", write(TWO_CONIC)])
     assert code == 0
@@ -428,7 +447,7 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
                                              family, eliminations):
     """One hilbert run makes sigma + 2 ranks (e_0 .. e_{sigma+1}) and one RREF
     (e_sigma's transpose), and a second run in the same process makes as many."""
-    from cicodes import cohomology, theorems
+    from cicodes import code, cohomology
     path = str(tmp_path / "ci.txt")
     assert main(["family", *family, "--out", path]) == 0
     counts = {"rank": 0, "rref": 0}
@@ -441,7 +460,7 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
 
     monkeypatch.setattr(cohomology, "matrix_rank",
                         counted("rank", cohomology.matrix_rank))
-    monkeypatch.setattr(theorems, "rref", counted("rref", theorems.rref))
+    monkeypatch.setattr(code, "rref", counted("rref", code.rref))
     capsys.readouterr()
     outputs = []
     for _ in range(2):

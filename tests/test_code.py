@@ -162,7 +162,7 @@ def test_choose_f0_impossible_on_p1_f2(f2):
         vals = [f2.add(f2.mul(c0, x0), f2.mul(c1, x1)) for x0, x1 in pts]
         assert 0 in vals
     with pytest.raises(NoNormalizerFoundError):
-        choose_f0(pts, 1, trials=200)
+        choose_f0(pts, 1)
 
 
 def test_normalizer_vanishes(f3):
@@ -209,7 +209,6 @@ def test_rs_distance(f5):
     code = build_code(pts, 2)
     res = min_distance(code)
     assert res.d == 3 == brute_distance(code)  # q - a
-    assert res.exact
     assert res.codewords_scanned == (5 ** 3 - 1) // 4
 
 
@@ -310,6 +309,5 @@ def test_representative_independence(f5):
         from cicodes.linalg import rref
         gen, _ = rref(spanning, f5)
         from cicodes.code import EvalCode
-        alt = EvalCode(pts, 1, len(pts), len(gen),
-                       tuple(tuple(r) for r in gen))
+        alt = EvalCode(pts, 1, tuple(tuple(r) for r in gen))
         assert (alt.n, alt.k, min_distance(alt).d) == base

@@ -3,6 +3,7 @@
 import pytest
 
 from cicodes import (
+    Polynomial,
     build_code,
     ci_setup,
     extended_rs,
@@ -129,6 +130,22 @@ def test_hermitian_q3():
     setup = ci_setup(polys, 2, spec.field)
     assert len(setup.gamma) == 24  # q^3 - q
     assert setup.s == 7  # q^2 - 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_hermitian_product_is_the_lines(q):
+    """The second polynomial, T^(q-1) - x0^(q^2-q) with T = x2^q + x0^(q-1) x2,
+    equals the product of the q^2 - q lines x2 - alpha*x0 over the alpha with
+    alpha^q + alpha != 0, multiplied out one line at a time."""
+    (_, product), spec = hermitian_ci(q)
+    field = spec.field
+    lines = Polynomial.constant(field, 3, 1)
+    for alpha in range(field.q):
+        if field.add(field.pow(alpha, q), alpha) != 0:
+            line = Polynomial(field, 3, {(0, 0, 1): 1, (1, 0, 0): field.neg(alpha)})
+            lines = lines * line
+    assert lines.degree() == q * q - q
+    assert product == lines
 
 
 def test_hermitian_points_have_x1_nonzero():

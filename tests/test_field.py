@@ -11,7 +11,8 @@ from cicodes.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
-from cicodes.gf import Field, _is_prime, _prime_factors, _prime_power
+from cicodes.gf import Field, _is_prime, _prime_factors, _prime_power, power
+from cicodes.poly import Polynomial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
                 (2, 4), (5, 2), (3, 3), (7, 2), (2, 6)]
@@ -320,3 +321,16 @@ def test_table_build_is_few_slow_products(monkeypatch, p, e):
     monkeypatch.setattr(Field, "_mul_slow", counted)
     field_new(p, e)
     assert len(calls) <= 4096
+
+
+def test_power_is_repeated_mul():
+    """Square-and-multiply equals n products by x, for n = 0..40, over the
+    integers mod 101 and over a polynomial in F_7[x0, x1]."""
+    f7 = Field(7, 1)
+    poly = Polynomial(f7, 2, {(1, 0): 3, (0, 1): 1})
+    for x, mul, one in ((3, lambda a, b: a * b % 101, 1),
+                        (poly, Polynomial.__mul__, Polynomial.constant(f7, 2, 1))):
+        product = one
+        for n in range(41):
+            assert power(x, n, mul, one) == product, n
+            product = mul(product, x)

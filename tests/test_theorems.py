@@ -169,7 +169,7 @@ def test_code_at_s_is_mds(corpus):
 
 def test_symmetry(corpus):
     for name, setup in corpus.items():
-        assert verify_symmetry(setup, profile(setup.gamma, setup.s + 1)), name
+        assert verify_symmetry(setup, profile(setup.gamma)), name
 
 
 def test_symmetry_rank_values(two_conic, rm3):
