@@ -17,14 +17,14 @@ import sys
 from math import comb
 
 from . import families
-from .code import DEFAULT_CAP, build_code, check_word_cap, min_distance
-from .cohomology import profile, rank_e
+from .code import DEFAULT_CAP
+from .code import build_code, min_distance  # noqa: F401 (perfbench/replay.py wraps both)
+from .cohomology import profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
 from .poly import parse as parse_poly, poly_text
 from .theorems import (
-    bound_report,
     cb_split_count,
     ci_setup,
     is_cb_scheme,
@@ -133,14 +133,7 @@ def cmd_analyze(args) -> int:
         return EXIT_VALIDATION
     _check_matrix_entries(setup.n, vf.m, [a], f"degree {a}")
     _check_elimination_work(setup.n, vf.m, [(setup.n, a)], f"degree {a}")
-    k = rank_e(setup.gamma, a)  # refuse an over-cap search before building the code
-    if k:  # k = 0 keeps min_distance's zero-code error
-        check_word_cap(vf.field.q, k, args.cap)
-    if 1 <= a <= setup.s:
-        report = verify_main_theorem(setup, a, cap=args.cap)
-    else:  # --no-range-check: the same parameters, with no bound claimed
-        code = build_code(setup.gamma, a)
-        report = bound_report(setup, code, min_distance(code, cap=args.cap).d)
+    report = verify_main_theorem(setup, a, cap=args.cap)
     print(report.line())
     if args.emit_matrix:
         for row in report.gen:

@@ -10,16 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .code import evaluation_matrix
+from .code import _monomial_row
 from .geometry import PointSet
 from .linalg import rank as matrix_rank
+from .poly import monomials_of_degree
 
 
 def rank_e(gamma: PointSet, a: int) -> int:
-    """Rank of the evaluation map e_a; 0 in negative degrees."""
-    if a < 0 or not gamma.points:
-        return 0
-    return matrix_rank(evaluation_matrix(gamma, a).rows, gamma.field)
+    """Rank of the evaluation map e_a; 0 in negative degrees, where no monomial
+    is listed.  Each point row is built only when the elimination asks for it,
+    so a full column rank builds at most C(a+m, m) + 1 rows."""
+    monomials = monomials_of_degree(gamma.m, a)
+    return matrix_rank((_monomial_row(pt, monomials, gamma.field) for pt in gamma),
+                       gamma.field)
 
 
 def h0(gamma: PointSet, a: int) -> int:

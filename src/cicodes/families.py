@@ -41,15 +41,14 @@ def _affine_binomial(field, nvars, j, q):
     return Polynomial(field, nvars, {tuple(lead): 1, tuple(trail): field.neg(1)})
 
 
-def extended_rs(q: int, m: int = 1, field: Field = None):
+def extended_rs(q: int, m: int = 1):
     """Hyperplanes x1..x_{m-1} plus the affine-line binomial in x_m.
 
     Gamma is the q affine rational points on the line they cut out; the
     evaluation codes are the extended Reed-Solomon codes.
     """
-    if field is None:
-        field = field_new(*_prime_power(q))
-    _check_m(m, field.q)
+    field = field_new(*_prime_power(q))
+    _check_m(m, q)
     nvars = m + 1
     polys = [Polynomial.variable(field, nvars, j) for j in range(1, m)]
     polys.append(_affine_binomial(field, nvars, m, q))
@@ -57,11 +56,10 @@ def extended_rs(q: int, m: int = 1, field: Field = None):
     return polys, spec
 
 
-def reed_muller_ci(q: int, m: int, field: Field = None):
+def reed_muller_ci(q: int, m: int):
     """The m binomials whose common zeros are all q^m affine points of A^m."""
-    if field is None:
-        field = field_new(*_prime_power(q))
-    _check_m(m, field.q)
+    field = field_new(*_prime_power(q))
+    _check_m(m, q)
     nvars = m + 1
     polys = [_affine_binomial(field, nvars, j, q) for j in range(1, m + 1)]
     spec = FamilySpec("reed_muller", q, m, (q,) * m, field)

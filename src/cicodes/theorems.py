@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .code import DEFAULT_CAP, EvalCode, build_code, evaluation_matrix, min_distance
-from .cohomology import CohomologyProfile, h0, h1
+from .code import DEFAULT_CAP, build_code, check_word_cap, evaluation_matrix, min_distance
+from .cohomology import CohomologyProfile, h0, h1, rank_e
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
@@ -182,21 +182,18 @@ class BoundReport:
                 f"mds_sufficient={str(self.mds_sufficient).lower()}")
 
 
-def bound_report(setup: CISetup, code: EvalCode, d: int) -> BoundReport:
-    """A code C(Gamma)_a of minimum distance d against s - a + 2 and Singleton at
-    any degree a; mds_sufficient (n - k <= s - a + 1) holds only for 1 <= a <= s."""
-    a = code.degree
-    singleton = code.n - code.k + 1
-    mds_sufficient = 1 <= a <= setup.s and setup.s - a >= code.n - code.k - 1
-    return BoundReport(a, code.n, code.k, d, setup.s - a + 2, singleton,
-                       d == singleton, mds_sufficient, code.gen)
-
-
 def verify_main_theorem(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> BoundReport:
-    """Exact parameters of C(Gamma)_a against the distance bound and Singleton."""
-    hansen_bound(setup, a)  # refuses a outside [1, s]
+    """Exact parameters of C(Gamma)_a against s - a + 2 and Singleton at any
+    degree a; mds_sufficient (n - k <= s - a + 1) holds only for 1 <= a <= s.
+    An over-cap search is refused on k = rank e_a before the code is built."""
+    k = rank_e(setup.gamma, a)
+    if k:  # k = 0 keeps min_distance's zero-code error
+        check_word_cap(setup.gamma.field.q, k, cap)
     code = build_code(setup.gamma, a)
-    return bound_report(setup, code, min_distance(code, cap=cap).d)
+    n, s, d = setup.n, setup.s, min_distance(code, cap=cap).d
+    singleton = n - k + 1
+    return BoundReport(a, n, k, d, s - a + 2, singleton, d == singleton,
+                       1 <= a <= s and s - a >= n - k - 1, code.gen)
 
 
 def verify_symmetry(setup: CISetup, prof: CohomologyProfile) -> bool:
@@ -208,11 +205,10 @@ def verify_symmetry(setup: CISetup, prof: CohomologyProfile) -> bool:
 def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool:
     """Exact MDS status must agree with universal vanishing of
     h1(Gamma'', s-a) over all subsets of size h1(Gamma, a)."""
-    code = build_code(setup.gamma, a)
-    mds_exact = min_distance(code, cap=cap).d == code.n - code.k + 1
-    size = code.n - code.k  # h1(Gamma, a)
+    report = verify_main_theorem(setup, a, cap)
+    size = report.n - report.k  # h1(Gamma, a)
     rows = evaluation_matrix(setup.gamma, setup.s - a).rows
-    return mds_exact == _every_subset_has_rank(rows, size, size, setup.gamma.field)
+    return report.mds == _every_subset_has_rank(rows, size, size, setup.gamma.field)
 
 
 def is_cb_scheme(gamma: PointSet, sg: int) -> bool:

@@ -40,21 +40,21 @@ def two_conic(f5):
 @pytest.fixture(scope="session")
 def rm3(f3):
     """Reed-Muller CI q=3, m=2: all 9 affine points, s = 3."""
-    polys, spec = reed_muller_ci(3, 2, field=f3)
+    polys, spec = reed_muller_ci(3, 2)
     return ci_setup(polys, 2, f3)
 
 
 @pytest.fixture(scope="session")
 def rm2_m3(f2):
     """Reed-Muller CI q=2, m=3: all 8 affine points, s = 2."""
-    polys, spec = reed_muller_ci(2, 3, field=f2)
+    polys, spec = reed_muller_ci(2, 3)
     return ci_setup(polys, 3, f2)
 
 
 @pytest.fixture(scope="session")
 def rs5(f5):
     """Extended Reed-Solomon setup q=5, m=1, s = 3."""
-    polys, spec = extended_rs(5, 1, field=f5)
+    polys, spec = extended_rs(5, 1)
     return ci_setup(polys, 1, f5)
 
 

@@ -249,6 +249,19 @@ def test_analyze_range_check(write, capsys):
     assert "k=1" in out
 
 
+@pytest.mark.parametrize("degree", [0, 4])
+def test_main_theorem_out_of_range_is_analyze(write, capsys, rm3, degree):
+    """Outside [1, s] (s = 3 on RM(3,2)) `verify_main_theorem` reports the
+    same line as `analyze --no-range-check`, with no MDS claim."""
+    from cicodes import verify_main_theorem
+    report = verify_main_theorem(rm3, degree)
+    code, out = run(capsys, ["analyze", write(RM3), "--degree", str(degree),
+                             "--no-range-check"])
+    assert code == 0
+    assert out == report.line() + "\n"
+    assert not report.mds_sufficient
+
+
 def test_analyze_zero_code_exit_2(write, capsys):
     """Every negative degree gives the zero code, also below -m."""
     for degree in ["-1", "-3", "-5"]:

@@ -175,7 +175,7 @@ def test_normalizer_vanishes(f3):
 # -- code parameters --
 
 def test_extended_rs_dimensions(f5):
-    polys, spec = extended_rs(5, 1, field=f5)
+    polys, spec = extended_rs(5, 1)
     pts = variety_points(polys, 1, f5)
     code = build_code(pts, 2)
     assert (code.n, code.k) == (5, 3)
@@ -204,7 +204,7 @@ def test_generator_rows_independent(f3):
 # -- distances --
 
 def test_rs_distance(f5):
-    polys, _ = extended_rs(5, 1, field=f5)
+    polys, _ = extended_rs(5, 1)
     pts = variety_points(polys, 1, f5)
     code = build_code(pts, 2)
     res = min_distance(code)

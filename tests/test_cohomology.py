@@ -7,6 +7,7 @@ import pytest
 
 from cicodes import (
     ci_setup,
+    evaluation_matrix,
     extended_rs,
     field_new,
     h0,
@@ -20,6 +21,7 @@ from cicodes import (
     sigma,
 )
 from cicodes.geometry import PointSet
+from cicodes.linalg import rank as matrix_rank
 
 
 def test_h0_examples(rm3, two_conic):
@@ -144,3 +146,26 @@ def test_ci_hilbert_function_oracle(ci_families):
         assert [row[2] for row in prof.table[:len(window)]] == expected, name
         assert [rank_e(setup.gamma, a) for a in window] == expected, name
         assert prof.sigma == setup.s and expected[-1] == setup.n, name
+
+
+@pytest.mark.parametrize("name,a", [("rs5", 2), ("rm3", 1)])
+def test_rank_e_builds_rows_on_demand(request, monkeypatch, name, a):
+    """At full column rank, rank_e builds the point rows up to the first one
+    that fills the basis, plus the one that stops the elimination: 4 of 5 on
+    RS q=5 at a = 2 (3 columns), 5 of 9 on RM(3,2) at a = 1 (3 columns, its
+    first three points collinear)."""
+    from cicodes import cohomology
+    setup = request.getfixturevalue(name)
+    rows = evaluation_matrix(setup.gamma, a).rows
+    cols = len(rows[0])
+    filled = next(j for j in range(cols, setup.n + 1)
+                  if matrix_rank(rows[:j], setup.gamma.field) == cols)
+    built, row = [], cohomology._monomial_row
+
+    def counted(point, monomials, field):
+        built.append(point)
+        return row(point, monomials, field)
+
+    monkeypatch.setattr(cohomology, "_monomial_row", counted)
+    assert rank_e(setup.gamma, a) == cols
+    assert len(built) == filled + 1 < setup.n

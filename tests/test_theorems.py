@@ -3,6 +3,7 @@
 import pytest
 
 from cicodes import (
+    build_code,
     cb_identity,
     ci_setup,
     field_new,
@@ -20,7 +21,12 @@ from cicodes import (
     verify_projection_injectivity,
     verify_symmetry,
 )
-from cicodes.errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
+from cicodes.errors import (
+    CapExceededError,
+    DegreeOutOfRangeError,
+    NonSplitError,
+    NotASubsetError,
+)
 from cicodes.geometry import PointSet
 from cicodes.theorems import cb_split_count
 
@@ -143,6 +149,23 @@ def test_main_theorem_rm3(rm3):
     r = verify_main_theorem(rm3, 1)
     assert r.d_exact == 6 >= r.bound == 4
     assert not r.mds and r.singleton == 7
+
+
+@pytest.mark.parametrize("verify", [verify_main_theorem, verify_mds_corollary])
+def test_over_cap_refused_before_build(rm3, monkeypatch, verify):
+    """Both checks refuse an over-cap search on k = rank e_a, before the
+    generator is built."""
+    from cicodes import theorems
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_code(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, "build_code", counted)
+    with pytest.raises(CapExceededError):
+        verify(rm3, 2, cap=1)
+    assert calls == []
 
 
 def test_main_theorem_rs7(rs7_m2):
