@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 validation failure, 2 parse error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from math import comb
 
@@ -23,7 +22,7 @@ from .cohomology import profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
-from .poly import parse as parse_poly, poly_text
+from .poly import parse as parse_poly, poly_text, read_int
 from .theorems import (
     cb_split_count,
     ci_setup,
@@ -40,7 +39,7 @@ EXIT_CAP = 3
 
 # evaluation-matrix entries one `analyze`, `cb` or `hilbert` run may build
 MAX_MATRIX_ENTRIES = 10 ** 7
-# field operations the eliminations of one such run may take (`_check_elimination_work`)
+# field operations the eliminations of one such run may take (`_check_work`)
 MAX_ELIMINATION_WORK = 10 ** 8
 
 
@@ -61,17 +60,6 @@ def _parse_kv(parts):
     return out
 
 
-def _header_int(key, value):
-    """A header integer; a missing, non-integer or over-long value (more digits
-    than Python 3.11+ converts by default) raises a one-line ValueError."""
-    if value is None:
-        raise ValueError(f"missing {key}=<integer>")
-    if not re.fullmatch(r"[+-]?\d{1,4300}", value):
-        shown = repr(value[:20]) + ("..." if len(value) > 20 else "")
-        raise ValueError(f"{key}={shown} is not an integer of at most 4300 digits")
-    return int(value)
-
-
 def load_variety_file(path: str) -> VarietyFile:
     field = None
     m = None
@@ -86,13 +74,13 @@ def load_variety_file(path: str) -> VarietyFile:
                 kv = _parse_kv(rest.split())
                 modulus = None
                 if "modulus" in kv:
-                    modulus = [_header_int("modulus", c)
+                    modulus = [read_int("modulus", c)
                                for c in kv["modulus"].split(",")]
-                field = field_new(_header_int("p", kv.get("p")),
-                                  _header_int("e", kv.get("e")), modulus)
+                field = field_new(read_int("p", kv.get("p")),
+                                  read_int("e", kv.get("e")), modulus)
             elif head == "vars":
                 kv = _parse_kv(rest.split())
-                m = _header_int("m", kv.get("m"))
+                m = read_int("m", kv.get("m"))
                 if m < 1:
                     raise ValueError(f"vars m must be at least 1, got {m}")
             elif head == "poly":
@@ -109,10 +97,11 @@ def load_variety_file(path: str) -> VarietyFile:
 def cmd_points(args) -> int:
     vf = load_variety_file(args.file)
     gamma = variety_points(vf.polys, vf.m, vf.field)
+    # validated before any output, so a refusal leaves stdout empty
+    val = validate_ci(vf.polys, gamma) if len(vf.polys) == vf.m else None
     for pt in gamma:
         print(" ".join(str(c) for c in pt))
-    if len(vf.polys) == vf.m:
-        val = validate_ci(vf.polys, gamma)
+    if val is not None:
         print(val.line())
         if args.require_ci and not (val.split and val.smooth):
             return EXIT_VALIDATION
@@ -131,8 +120,7 @@ def cmd_analyze(args) -> int:
         print(f"error: degree {a} outside [1, {setup.s}] "
               f"(use --no-range-check to override)", file=sys.stderr)
         return EXIT_VALIDATION
-    _check_matrix_entries(setup.n, vf.m, [a], f"degree {a}")
-    _check_elimination_work(setup.n, vf.m, [(setup.n, a)], f"degree {a}")
+    _check_work(setup.n, vf.m, [a], [(setup.n, a)], f"degree {a}")
     report = verify_main_theorem(setup, a, cap=args.cap)
     print(report.line())
     if args.emit_matrix:
@@ -151,26 +139,25 @@ def _parse_degree_range(text: str):
     return [int(text)]
 
 
-def _check_matrix_entries(n, m, degrees, what):
-    """Refuse the evaluation matrices e_b on n points of P^m, b in `degrees`,
-    when their entries sum past MAX_MATRIX_ENTRIES; stops at the first excess."""
+def _check_work(n, m, degrees, jobs, what):
+    """Refuse a run on n points of P^m whose evaluation matrices e_b, b in
+    `degrees`, hold more than MAX_MATRIX_ENTRIES entries in all, then one
+    whose eliminations take more than MAX_ELIMINATION_WORK field operations:
+    each (rows, b) in `jobs` inserts rows of e_b, of cols = C(b+m, m)
+    entries, into a basis of at most min(n, cols) rows.  Each sum stops at
+    its first excess; the entry sum runs first, so it bounds the degrees."""
+    def cols(b):
+        return comb(b + m, m) if b >= 0 else 0
+
     entries = 0
     for b in degrees:
-        entries += n * comb(b + m, m) if b >= 0 else 0
+        entries += n * cols(b)
         if entries > MAX_MATRIX_ENTRIES:
             raise ValueError(f"{what} would build more than "
                              f"{MAX_MATRIX_ENTRIES} evaluation-matrix entries")
-
-
-def _check_elimination_work(n, m, jobs, what):
-    """Refuse eliminating rows of the e_b on n points of P^m, for the (rows, b)
-    in `jobs`, when rows x cols x min(n, cols) sums past MAX_ELIMINATION_WORK:
-    a row of e_b has cols = C(b+m, m) entries and meets at most min(n, cols)
-    basis rows.  Run after `_check_matrix_entries`, which bounds the degrees."""
     work = 0
     for rows, b in jobs:
-        cols = comb(b + m, m) if b >= 0 else 0
-        work += rows * cols * min(n, cols)
+        work += rows * cols(b) * min(n, cols(b))
         if work > MAX_ELIMINATION_WORK:
             raise ValueError(f"{what} would take more than {MAX_ELIMINATION_WORK} "
                              f"field operations to eliminate")
@@ -182,15 +169,13 @@ def cmd_cb(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    # each degree a builds e_a and e_{s-a} on all n points
-    _check_matrix_entries(setup.n, vf.m, (b for a in degrees for b in (a, setup.s - a)),
-                          f"degrees {args.degrees}")
-    # the walk inserts 2^(n+1) rows over all 2^n splits, else at most n per
-    # split, each into the basis of the wider of e_a and e_{s-a}
+    # each degree a builds e_a and e_{s-a} on all n points; the walk inserts
+    # 2^(n+1) rows over all 2^n splits, else at most n per split, each into
+    # the basis of the wider of e_a and e_{s-a}
     n, splits = setup.n, cb_split_count(setup.n, args.budget)
     inserts = 2 * splits if splits == 1 << n else n * splits
-    _check_elimination_work(n, vf.m, ((inserts, max(a, setup.s - a)) for a in degrees),
-                            f"degrees {args.degrees}")
+    _check_work(n, vf.m, (b for a in degrees for b in (a, setup.s - a)),
+                ((inserts, max(a, setup.s - a)) for a in degrees), f"degrees {args.degrees}")
     print(f"seed={args.seed}")
     bad = False
     for a in degrees:
@@ -206,9 +191,8 @@ def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
     degrees = range(setup.s + 2)  # profile's scan eliminates e_0 .. e_{s+1} on a CI
-    what = f"hilbert over degrees 0..{setup.s + 1}"
-    _check_matrix_entries(setup.n, vf.m, degrees, what)
-    _check_elimination_work(setup.n, vf.m, ((setup.n, b) for b in degrees), what)
+    _check_work(setup.n, vf.m, degrees, ((setup.n, b) for b in degrees),
+                f"hilbert over degrees 0..{setup.s + 1}")
     prof = profile(setup.gamma)
     for line in prof.lines():
         print(line)
@@ -218,15 +202,19 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_family(args) -> int:
+    m = 1 if args.m is None else args.m
     if args.kind in ("rs", "extended_rs"):
-        polys, spec = families.extended_rs(args.q, args.m)
+        polys, spec = families.extended_rs(args.q, m)
     elif args.kind in ("rm", "reed_muller"):
-        polys, spec = families.reed_muller_ci(args.q, args.m)
+        polys, spec = families.reed_muller_ci(args.q, m)
     elif args.kind == "hermitian":
         polys, spec = families.hermitian_ci(args.q)
     else:
         print(f"error: unknown family kind {args.kind!r}", file=sys.stderr)
         return EXIT_PARSE
+    if args.m not in (None, spec.m):  # hermitian lies in P^2 whatever --m says
+        raise ValueError(f"the {args.kind} family lies in P^{spec.m}: "
+                         f"--m must be {spec.m}, got {args.m}")
     field = spec.field
     lines = [f"field p={field.p} e={field.e} "
              f"modulus={','.join(str(c) for c in field.modulus)}",
@@ -281,7 +269,7 @@ def build_parser():
     p = sub.add_parser("family", help="emit a variety file for a named family")
     p.add_argument("kind", help="rs | rm | hermitian")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int)  # None: 1 for rs and rm, 2 for hermitian
     p.add_argument("--out")
     p.set_defaults(func=cmd_family)
 

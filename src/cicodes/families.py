@@ -4,6 +4,7 @@ complete intersections, and the Hermitian-curve construction over F_{q^2}."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DegreeOutOfRangeError
 from .geometry import check_space
@@ -31,14 +32,16 @@ def _check_m(m: int, q: int) -> None:
     check_space(m, q)
 
 
-def _affine_binomial(field, nvars, j, q):
-    """x_j^q - x0^{q-1} x_j, cutting out the affine values of coordinate j."""
-    lead = [0] * nvars
-    lead[j] = q
-    trail = [0] * nvars
-    trail[0] = q - 1
-    trail[j] = 1
-    return Polynomial(field, nvars, {tuple(lead): 1, tuple(trail): field.neg(1)})
+def _affine_family(kind: str, q: int, m: int, h: int):
+    """Hyperplanes x_1..x_h, then for j = h+1..m the binomial
+    x_j^q - x0^{q-1} x_j, which cuts out the affine values of coordinate j:
+    Gamma is the q^(m-h) affine points of F_q^(m-h) in the last coordinates."""
+    field = field_new(*_prime_power(q))
+    _check_m(m, q)
+    var = partial(Polynomial.variable, field, m + 1)
+    polys = [var(j) for j in range(1, h + 1)]
+    polys += [var(j, power=q) - var(0, power=q - 1) * var(j) for j in range(h + 1, m + 1)]
+    return polys, FamilySpec(kind, q, m, (1,) * h + (q,) * (m - h), field)
 
 
 def extended_rs(q: int, m: int = 1):
@@ -47,23 +50,12 @@ def extended_rs(q: int, m: int = 1):
     Gamma is the q affine rational points on the line they cut out; the
     evaluation codes are the extended Reed-Solomon codes.
     """
-    field = field_new(*_prime_power(q))
-    _check_m(m, q)
-    nvars = m + 1
-    polys = [Polynomial.variable(field, nvars, j) for j in range(1, m)]
-    polys.append(_affine_binomial(field, nvars, m, q))
-    spec = FamilySpec("extended_rs", q, m, (1,) * (m - 1) + (q,), field)
-    return polys, spec
+    return _affine_family("extended_rs", q, m, m - 1)
 
 
 def reed_muller_ci(q: int, m: int):
     """The m binomials whose common zeros are all q^m affine points of A^m."""
-    field = field_new(*_prime_power(q))
-    _check_m(m, q)
-    nvars = m + 1
-    polys = [_affine_binomial(field, nvars, j, q) for j in range(1, m + 1)]
-    spec = FamilySpec("reed_muller", q, m, (q,) * m, field)
-    return polys, spec
+    return _affine_family("reed_muller", q, m, 0)
 
 
 def rm_exact_distance(q: int, m: int, a: int) -> int:
@@ -71,9 +63,6 @@ def rm_exact_distance(q: int, m: int, a: int) -> int:
     if not 0 <= a <= m * (q - 1):
         raise DegreeOutOfRangeError(f"need 0 <= a <= {m * (q - 1)}, got {a}")
     alpha, beta = divmod(a, q - 1)
-    # a = m(q-1) lands on alpha = m, beta = 0: fold back to beta = q-1
-    if alpha > 0 and beta == 0 and alpha == m:
-        alpha, beta = m - 1, q - 1
     num = (q - beta) * q ** (m - 1)
     denom = q ** alpha
     assert num % denom == 0
@@ -88,6 +77,7 @@ def hermitian_ci(q: int):
     the rest.  Gamma is the q^3 - q affine points with x1 != 0."""
     p, e = _prime_power(q)
     field = field_new(p, 2 * e)
+    _check_m(2, q * q)
     nvars = 3
     lead = [0, q + 1, 0]
     t1 = [1, 0, q]

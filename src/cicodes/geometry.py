@@ -9,7 +9,7 @@ from math import prod
 from .errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
 from .gf import Field
 from .linalg import rank as matrix_rank
-from .poly import Polynomial
+from .poly import MAX_DIGITS, Polynomial
 
 MAX_POINTS = 10 ** 7
 MAX_CUT_WORK = 10 ** 6
@@ -107,6 +107,8 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
 
     split: the F_q point count equals the product of the degrees.
     smooth: the m x (m+1) Jacobian has rank m at every point.
+    A product of more than MAX_DIGITS digits, which `line` could not print,
+    is refused before the Jacobian is built.
     """
     m = pts.m
     if len(polys) != m:
@@ -114,6 +116,9 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
                               f"got {len(polys)}")
     degrees = tuple(p.degree() for p in polys)
     expected = prod(degrees)
+    if abs(expected) >= 10 ** MAX_DIGITS:
+        raise SpaceTooLargeError(f"the product of the degrees has more than "
+                                 f"{MAX_DIGITS} digits")
     found = len(pts)
     split = found == expected
     jac = [[p.partial_derivative(v) for v in range(m + 1)] for p in polys]

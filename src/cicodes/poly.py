@@ -195,6 +195,21 @@ def poly_text(poly: Polynomial) -> str:
 
 # -- parsing --
 
+MAX_DIGITS = 4300  # the longest integer Python 3.11+ converts to or from text by default
+
+
+def read_int(key, text):
+    """A variety-file integer: a header value, a literal or an exponent.  A
+    missing, non-integer or over-long value raises a one-line ValueError
+    before any conversion, so no Python version spends time on a huge one."""
+    if text is None:
+        raise ValueError(f"missing {key}=<integer>")
+    if not re.fullmatch(rf"[+-]?\d{{1,{MAX_DIGITS}}}", text):
+        shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+        raise ValueError(f"{key}={shown} is not an integer of at most {MAX_DIGITS} digits")
+    return int(text)
+
+
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]\w*|\^|\*|\+|-|\(|\))")
 
 
@@ -258,7 +273,7 @@ class _Parser:
             tok = self.next()
             if tok is None or not tok.isdigit():
                 raise PolySyntaxError("exponent must be a non-negative integer")
-            return power(base, int(tok), self.mul,
+            return power(base, read_int("exponent", tok), self.mul,
                          Polynomial.constant(self.field, self.m + 1, 1))
         return base
 
@@ -287,7 +302,7 @@ class _Parser:
             return inner
         if tok.isdigit():
             return Polynomial.constant(self.field, self.m + 1,
-                                       self.field.from_int(int(tok)))
+                                       self.field.from_int(read_int("literal", tok)))
         if tok == "w":
             if self.field.e < 2:
                 raise PolySyntaxError("token 'w' needs an extension field (e >= 2)")

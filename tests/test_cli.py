@@ -196,6 +196,54 @@ def test_bad_header_integer_exit_2(write, capsys, header, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("poly, key", [
+    pytest.param(f"x1^{LONG} - x0^2*x1", "exponent", id="exponent"),
+    pytest.param(f"{LONG}*x1 - x0", "literal", id="literal"),
+])
+def test_long_integer_token_exit_2(write, capsys, poly, key):
+    """Exponents and literals go through the header's integer rule, so no
+    Python conversion message reaches the user."""
+    code = main(["points", write(f"field p=5 e=1\nvars m=2\npoly {poly}\npoly x2 - x0\n")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {key}='99999999999999999999'... is not an "
+                            f"integer of at most 4300 digits\n")
+
+
+def test_huge_exponent_refused_without_digit_limit(write):
+    """With Python's int-to-str digit limit lifted (or absent, before 3.11), a
+    200,000-digit exponent is still refused at once, not converted and raised."""
+    path = write("field p=5 e=1\nvars m=2\npoly x1^" + "9" * 200_000 + " - x0\npoly x2\n")
+    script = ("import sys\n"
+              "if hasattr(sys, 'set_int_max_str_digits'):\n"
+              "    sys.set_int_max_str_digits(0)\n"
+              "from cicodes.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, "points", path],
+                          capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: exponent='99999999999999999999'... is not an "
+                           "integer of at most 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv", [["points"], ["analyze", "--degree", "1"],
+                                  ["cb", "--degrees", "1"], ["hilbert"]])
+def test_degree_product_past_4300_digits_exit_2(write, capsys, argv):
+    """Two 4,000-digit degrees parse, but their product, the expected point
+    count, could not be printed: refused before any output."""
+    big = "9" * 4000
+    path = write(f"field p=5 e=1\nvars m=2\npoly x1^{big} - x0^{big}\n"
+                 f"poly x2^{big} - x0^{big}\n")
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the product of the degrees has more than 4300 digits\n"
+
+
 def test_missing_file_exit_2(capsys):
     code, _ = run(capsys, ["points", "/nonexistent/path.txt"])
     assert code == 2
@@ -530,6 +578,9 @@ def test_family_q_below_2_exit_2(capsys, kind, q):
     (("rm", "--q", "5", "--m", "0"), "m must be at least 1, got 0"),
     (("rm", "--q", "2", "--m", "23"), "P^23(F_2) has more than 10000000 points"),
     (("rs", "--q", "2", "--m", "24"), "P^24(F_2) has more than 10000000 points"),
+    (("hermitian", "--q", "3", "--m", "7"),
+     "the hermitian family lies in P^2: --m must be 2, got 7"),
+    (("hermitian", "--q", "59"), "P^2(F_3481) has more than 10000000 points"),
 ])
 def test_family_m_refused_exit_2(capsys, tmp_path, args, message):
     """An m that the variety-file loader would refuse writes no file."""
@@ -553,6 +604,15 @@ def test_family_q_refused_exit_2(kind, q, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_family_hermitian_m_2_is_the_default(capsys):
+    outputs = []
+    for extra in ([], ["--m", "2"]):
+        code = main(["family", "hermitian", "--q", "3", *extra])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_family_unknown_kind(capsys):

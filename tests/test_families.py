@@ -11,6 +11,7 @@ from cicodes import (
     hermitian_ci,
     min_distance,
     parse,
+    poly_text,
     reed_muller_ci,
     rm_exact_distance,
     validate_ci,
@@ -18,6 +19,8 @@ from cicodes import (
     verify_main_theorem,
 )
 from cicodes.errors import DegreeOutOfRangeError
+from cicodes.families import FamilySpec
+from cicodes.gf import _prime_power
 
 
 def test_extended_rs_q5_m2():
@@ -81,6 +84,33 @@ def test_rm_exact_distance_values(q, m, a, expected):
     assert rm_exact_distance(q, m, a) == expected
 
 
+def _old_affine_binomial(field, nvars, j, q):
+    lead = [0] * nvars
+    lead[j] = q
+    trail = [0] * nvars
+    trail[0] = q - 1
+    trail[j] = 1
+    return Polynomial(field, nvars, {tuple(lead): 1, tuple(trail): field.neg(1)})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_affine_families_match_separate_builders(q, m):
+    """The shared builder gives what RS (hyperplanes x1..x_{m-1}, then a
+    binomial) and RM (m binomials) were built as on their own."""
+    p, e = _prime_power(q)
+    field = field_new(p, e)
+    rs = [Polynomial.variable(field, m + 1, j) for j in range(1, m)]
+    rs.append(_old_affine_binomial(field, m + 1, m, q))
+    rm = [_old_affine_binomial(field, m + 1, j, q) for j in range(1, m + 1)]
+    for (polys, spec), old, kind, degrees in [
+            (extended_rs(q, m), rs, "extended_rs", (1,) * (m - 1) + (q,)),
+            (reed_muller_ci(q, m), rm, "reed_muller", (q,) * m)]:
+        assert spec == FamilySpec(kind, q, m, degrees, field)
+        assert polys == old
+        assert [poly_text(f) for f in polys] == [poly_text(f) for f in old]
+
+
 def test_rm_exact_distance_range():
     with pytest.raises(DegreeOutOfRangeError):
         rm_exact_distance(3, 2, 5)
@@ -93,7 +123,8 @@ def test_rm_distance_matches_formula(q, m):
     polys, spec = reed_muller_ci(q, m)
     setup = ci_setup(polys, m, spec.field)
     from cicodes import rank_e
-    for a in range(1, spec.s + 1):
+    # up to a = s + 1 = m(q-1), the top of the formula's range, where d = 1
+    for a in range(1, spec.s + 2):
         k = rank_e(setup.gamma, a)
         if spec.field.q ** k - 1 > (1 << 22):
             continue

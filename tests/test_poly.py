@@ -60,6 +60,11 @@ def test_parse_empty_and_garbage():
         parse("x0 + ", 2, f3)
 
 
+def test_parse_4000_digit_exponent():
+    big = "9" * 4000
+    assert parse(f"x1^{big}", 2, field_new(5, 1)).degree() == int(big)
+
+
 def test_zero_constant_allowed():
     f3 = field_new(3, 1)
     p = parse("3", 2, f3)  # 3 = 0 in F_3
