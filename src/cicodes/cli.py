@@ -7,11 +7,14 @@ Variety file grammar (line oriented, '#' starts a comment):
     poly <expression>
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 cap exceeded.
+A reader that closes stdout early (`cicodes cb ... | head -1`) ends the run
+with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import comb
 
@@ -130,13 +133,11 @@ def cmd_analyze(args) -> int:
 
 
 def _parse_degree_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        degrees = range(int(lo), int(hi) + 1)
-        if not degrees:
-            raise ValueError(f"empty degree range {text!r}")
-        return degrees
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    degrees = range(read_int("degrees", lo), read_int("degrees", hi if dots else lo) + 1)
+    if not degrees:
+        raise ValueError(f"empty degree range {text!r}")
+    return degrees
 
 
 def _check_work(n, m, degrees, jobs, what):
@@ -280,7 +281,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -8,7 +8,7 @@ from math import comb
 
 from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
 from .geometry import PointSet
-from .linalg import nullspace, rref
+from .linalg import lanes, nullspace, rref
 from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_CAP = 1 << 22
@@ -45,7 +45,7 @@ class EvalMatrix:
 
 
 def evaluation_matrix(gamma: PointSet, a: int) -> EvalMatrix:
-    monomials = monomials_of_degree(gamma.m, a)  # listed once, not once per point
+    monomials = monomials_of_degree(gamma.m, a) if len(gamma) else ()  # none for no points
     rows = tuple(_monomial_row(pt, monomials, gamma.field) for pt in gamma)
     return EvalMatrix(rows, a, gamma.m, gamma.field)
 
@@ -143,34 +143,21 @@ def _weights(code: EvalCode, cap: int):
     coordinate's w^i * g_j.  First refuses, by `check_word_cap`, when the
     words it would visit exceed the cap.
 
-    A word is one int: base-p digit i of coordinate c fills the b-bit lane
-    c*e + i.  In characteristic 2, b = 1 and a step is one XOR.  For odd p,
-    b = bitlen(p) + 1 and a step adds lane-wise: a lane sum s < 2p reaches p
-    exactly when s + 2^(b-1) - p sets the lane's top bit, and those lanes
-    lose p.  Likewise a digit is nonzero exactly when adding 2^(b-1) - 1
-    sets its top bit; the weight ORs these bits over each coordinate's e
-    lanes and counts them."""
+    A word is one int in the layout of `linalg.lanes`, and a step adds as
+    that says.  A digit is nonzero exactly when adding 2^(b-1) - 1 sets its
+    top bit; the weight ORs these bits over each coordinate's e lanes and
+    counts them."""
     gen, field, n, k = code.gen, code.field, code.n, code.k
     p, e, q = field.p, field.e, field.q
     check_word_cap(q, k, cap)
+    b, every_lane, pack = lanes(field, n)
     # w^i * g_j for rows j = k-1 down to 0, i < e: the last row moves fastest
-    steps = [[field.mul(p ** i, g) for g in gen[j]]
+    steps = [pack([field.mul(p ** i, g) for g in gen[j]])
              for j in range(k - 1, -1, -1) for i in range(e)]
-    b = 1 if p == 2 else p.bit_length() + 1
     top = 1 << (b - 1)
-    lanes = {x: "".join(format(x // p ** i % p, f"0{b}b") for i in range(e - 1, -1, -1))
-             for x in set().union(*steps, *gen)}
-
-    def pack(row):  # coordinate 0 in the low bits
-        return int("".join([lanes[x] for x in reversed(row)]), 2)
-
-    def every_lane(v):
-        return int(format(v, f"0{b}b") * (n * e), 2)
-
     high, nonzero = every_lane(top), every_lane(top - 1)
     bias = every_lane(top - p) if p > 2 else 0
     first = int(("0" * (b * (e - 1)) + format(top, f"0{b}b")) * n, 2)
-    steps = [pack(s) for s in steps]
     shift, fold, covered = b - 1, [], 1
     while covered < e:  # shifts that OR lanes c*e+1 .. c*e+e-1 into lane c*e
         fold.append(min(covered, e - covered) * b)

@@ -17,7 +17,7 @@ from .cohomology import CohomologyProfile, h0, h1, rank_e
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
-from .linalg import insert, rank
+from .linalg import lane_rows, rank
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,10 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     With Gamma' the points in the mask and Gamma'' the rest, lhs = rank
     e_a(Gamma) - rank e_a(Gamma') and rhs = |Gamma''| - rank e_{s-a}(Gamma''),
     as in `cb_identity`.  The sorted masks are walked as the leaves of a
-    binary trie on bits n-1 .. 0 with two echelon bases, of the degree-a rows
-    of Gamma' and the degree-(s-a) rows of Gamma'': a mask keeps the rows of
-    the high bits it shares with the one before and inserts one per other bit."""
+    binary trie on bits n-1 .. 0 with two echelon bases of lane rows (e per
+    unit of rank, `linalg.lane_rows`), of the degree-a rows of Gamma' and the
+    degree-(s-a) rows of Gamma'': a mask keeps the rows of the high bits it
+    shares with the one before and inserts one per other bit."""
     n = setup.n
     total = 1 << n
     exhaustive = total <= budget
@@ -107,6 +108,7 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     rows = (evaluation_matrix(setup.gamma, setup.s - a).rows,  # bit clear
             evaluation_matrix(setup.gamma, a).rows)            # bit set
     caps = tuple(rank(r, field) for r in rows)  # no subset's rank exceeds these
+    inserts, e = tuple(lane_rows(r, field) for r in rows), field.e
     bases, violations = ([], []), []
     levels = []  # per decided bit from n-1 down: (its basis, size before it)
     for mask in masks:
@@ -118,10 +120,10 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
             side = mask >> b & 1
             basis = bases[side]
             levels.append((basis, len(basis)))
-            if len(basis) < caps[side]:
-                insert(basis, rows[side][b], field)
-        lhs = caps[1] - len(bases[1])
-        rhs = n - mask.bit_count() - len(bases[0])
+            if len(basis) < e * caps[side]:
+                inserts[side](basis, b)
+        lhs = caps[1] - len(bases[1]) // e
+        rhs = n - mask.bit_count() - len(bases[0]) // e
         if lhs != rhs:
             violations.append((mask, lhs, rhs))
         prev = mask
@@ -133,15 +135,16 @@ def _every_subset_has_rank(rows, size, target, field) -> bool:
     subset exceeds (vacuous if size > n; size < 0 counts as 0), by a
     depth-first walk of the combinations with one row insert per node: a
     prefix at `target` passes its subtree, one that cannot reach it fails."""
+    insert, e = lane_rows(rows, field), field.e
     basis, todo = [], [(-1, 0, 0)]  # (row to insert, rows taken, basis size before)
     while todo:
         i, taken, keep = todo.pop()
         del basis[keep:]  # back to the parent's rows
         if i >= 0:
-            insert(basis, rows[i], field)
-        if len(basis) == target:
+            insert(basis, i)
+        if len(basis) == e * target:
             continue
-        if len(basis) + size - taken < target:
+        if len(basis) // e + size - taken < target:
             return False
         todo.extend((j, taken + 1, len(basis))
                     for j in range(len(rows) - size + taken, i, -1))

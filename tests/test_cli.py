@@ -211,6 +211,42 @@ def test_long_integer_token_exit_2(write, capsys, poly, key):
                             f"integer of at most 4300 digits\n")
 
 
+@pytest.mark.parametrize("degrees", ["0.." + "9" * 5000, "9" * 5000 + "..0", "9" * 5000],
+                         ids=["high", "low", "single"])
+def test_cb_degrees_over_4300_digits_exit_2(write, capsys, degrees):
+    """`--degrees` ends go through the variety file's integer reader."""
+    code = main(["cb", write(TWO_CONIC), "--degrees", degrees])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: degrees='99999999999999999999'... "
+                            "is not an integer of at most 4300 digits\n")
+
+
+def test_cb_on_empty_gamma_ends_at_once(write):
+    """No point lies on `poly 1`, so Gamma is empty while e_{s-a} at s - a =
+    999,997 has about 5 * 10^11 monomials: none are listed for no points."""
+    path = write("field p=5 e=1\nvars m=2\npoly 1\npoly x1^1000000 - x0^1000000\n")
+    proc = run_child(["cb", path, "--degrees", "0"], timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "seed=0\na=0 splits=1 exhaustive=true violations=0\n"
+
+
+def test_closed_pipe_exit_0(write):
+    """A reader that closes stdout before the report is written, as `| head`
+    may, ends the run with exit 0 and an empty stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "cicodes.cli", "cb", write(RM3),
+                             "--degrees", "0..3"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=20) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_huge_exponent_refused_without_digit_limit(write):
     """With Python's int-to-str digit limit lifted (or absent, before 3.11), a
     200,000-digit exponent is still refused at once, not converted and raised."""

@@ -32,7 +32,7 @@ from cicodes import (
 )
 from cicodes.code import evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
-from cicodes.linalg import rank, rref
+from cicodes.linalg import lane_rows, rank, rref
 from cicodes.poly import monomials_of_degree
 
 KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
@@ -274,6 +274,43 @@ def rref_reference(rows, field):
         pivots.append(c)
         r += 1
     return rows[:r], pivots
+
+
+# F_37 and F_17^2 build a basis row's multiples on first use (p >= EAGER_P)
+LANE_FIELDS = {q: field_new(p, e) for q, p, e in (
+    (2, 2, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2), (37, 37, 1), (289, 17, 2))}
+
+
+@st.composite
+def dependent_rows(draw):
+    """Rows c1*u + c2*v over a few drawn rows u, v of width 0..6: zero rows
+    (c1 = c2 = 0), repeats and F_q-multiples come up often."""
+    field = LANE_FIELDS[draw(st.sampled_from(sorted(LANE_FIELDS)))]
+    ncols, scalar = draw(st.integers(0, 6)), st.integers(0, field.q - 1)
+    pool = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    rows = []
+    for u, v, c1, c2 in draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool),
+                                                scalar, scalar), max_size=8)):
+        rows.append([field.add(field.mul(c1, x), field.mul(c2, y)) for x, y in zip(u, v)])
+    return field, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_rows())
+@example((LANE_FIELDS[9], [[1, 4], [3, 5], [0, 0], [1, 4]]))  # row 1 = w * row 0
+@example((LANE_FIELDS[37], [[5, 0, 36], [36, 1, 0], [4, 1, 36]]))  # row 2 = row 0 + row 1
+def test_lane_kernel_rank_matches_rank(case):
+    """insert(basis, i) grows the basis, by e lane rows, exactly when row i
+    raises linalg.rank of the rows so far; len(basis) // e is that rank."""
+    field, rows = case
+    insert, basis = lane_rows(rows, field), []
+    for i in range(len(rows)):
+        before = len(basis)
+        grew = insert(basis, i)
+        assert grew == (rank(rows[:i + 1], field) > rank(rows[:i], field))
+        assert len(basis) - before == (field.e if grew else 0)
+    assert len(basis) // field.e == rank(rows, field)
 
 
 @settings(max_examples=200, deadline=None)
