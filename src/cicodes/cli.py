@@ -7,8 +7,8 @@ Variety file grammar (line oriented, '#' starts a comment):
     poly <expression>
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 cap exceeded.
-A reader that closes stdout early (`cicodes cb ... | head -1`) ends the run
-with exit 0 and nothing on stderr.
+A reader that closes stdout early (`cicodes cb ... | head -1`) leaves stderr
+empty; the exit is the command's own, or 0 if it had not ended.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from math import comb
 
 from . import families
@@ -46,26 +47,18 @@ MAX_MATRIX_ENTRIES = 10 ** 7
 MAX_ELIMINATION_WORK = 10 ** 8
 
 
-class VarietyFile:
-    def __init__(self, field, m, polys):
-        self.field = field
-        self.m = m
-        self.polys = polys
+VarietyFile = namedtuple("VarietyFile", "field m polys")
 
 
 def _parse_kv(parts):
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise ValueError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        out[key] = value
-    return out
+    bad = [part for part in parts if "=" not in part]
+    if bad:
+        raise ValueError(f"expected key=value, got {bad[0]!r}")
+    return dict(part.split("=", 1) for part in parts)
 
 
 def load_variety_file(path: str) -> VarietyFile:
-    field = None
-    m = None
+    field = m = None
     poly_lines = []
     with open(path) as fh:
         for raw in fh:
@@ -181,10 +174,8 @@ def cmd_cb(args) -> int:
     bad = False
     for a in degrees:
         report = verify_cb_all(setup, a, budget=args.budget, seed=args.seed)
-        for line in report.lines():
-            print(line)
-        if report.violations:
-            bad = True
+        print(*report.lines(), sep="\n")
+        bad = bad or bool(report.violations)
     return EXIT_VALIDATION if bad else EXIT_OK
 
 
@@ -280,13 +271,12 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK  # if the reader leaves before the command ends
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
-        return code
     except BrokenPipeError:  # the reader left early, as `| head` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -297,6 +287,7 @@ def main(argv=None) -> int:
     except (CICodesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -150,13 +150,12 @@ def _weights(code: EvalCode, cap: int):
     gen, field, n, k = code.gen, code.field, code.n, code.k
     p, e, q = field.p, field.e, field.q
     check_word_cap(q, k, cap)
-    b, every_lane, pack = lanes(field, n)
+    b, high, bias, every_lane, pack = lanes(field, n)
     # w^i * g_j for rows j = k-1 down to 0, i < e: the last row moves fastest
     steps = [pack([field.mul(p ** i, g) for g in gen[j]])
              for j in range(k - 1, -1, -1) for i in range(e)]
     top = 1 << (b - 1)
-    high, nonzero = every_lane(top), every_lane(top - 1)
-    bias = every_lane(top - p) if p > 2 else 0
+    nonzero = every_lane(top - 1)
     first = int(("0" * (b * (e - 1)) + format(top, f"0{b}b")) * n, 2)
     shift, fold, covered = b - 1, [], 1
     while covered < e:  # shifts that OR lanes c*e+1 .. c*e+e-1 into lane c*e

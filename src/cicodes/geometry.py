@@ -122,11 +122,6 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
     found = len(pts)
     split = found == expected
     jac = [[p.partial_derivative(v) for v in range(m + 1)] for p in polys]
-    field = pts.field
-    smooth = True
-    for pt in pts:
-        rows = [[entry.evaluate(pt) for entry in row] for row in jac]
-        if matrix_rank(rows, field) != m:
-            smooth = False
-            break
+    smooth = all(matrix_rank([[f.evaluate(pt) for f in row] for row in jac], pts.field) == m
+                 for pt in pts)
     return CIValidation(degrees, expected, found, split, smooth)

@@ -6,16 +6,14 @@ Everything here is desk scale, so plain Gaussian elimination is enough.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .gf import Field, power
 
 
 def lanes(field: Field, width: int):
     """Rows of `width` F_q entries as ints: base-p digit i of column c in the
     b-bit lane c*e + i.  For p = 2, b = 1 and rows add by XOR; for odd p, b =
-    bitlen(p) + 1, and a lane sum s reaches p iff s + 2^(b-1) - p sets its
-    top bit.  Returns b, every_lane(v), v in all width*e lanes, and pack(row)."""
+    bitlen(p) + 1, and a lane sum s reaches p iff s + bias sets its top bit.
+    Returns b, high = 2^(b-1) and bias = 2^(b-1) - p in every lane, every_lane, pack."""
     p, e = field.p, field.e
     b = 1 if p == 2 else p.bit_length() + 1
     ones = ((1 << b * e * width) - 1) // ((1 << b) - 1)
@@ -23,16 +21,10 @@ def lanes(field: Field, width: int):
 
     def pack(row):
         for x in set(row).difference(text):
-            text[x] = "".join(format(x // p ** i % p, f"0{b}b") for i in range(e - 1, -1, -1))
+            text[x] = "".join(format(d, f"0{b}b") for d in reversed(field.coeffs(x)))
         return int("".join([text[x] for x in reversed(row)]) or "0", 2)
 
-    return b, lambda v: v * ones, pack
-
-
-# Below this p, a lane row entering a basis gets its p - 1 multiples at once
-# (p - 2 adds); from it up, each multiple is built when a reduction first asks
-# for it (O(log p) adds), so a large prime never costs p adds per basis row.
-EAGER_P = 16
+    return b, (1 << b - 1) * ones, ((1 << b - 1) - p) * ones, lambda v: v * ones, pack
 
 
 def lane_rows(rows, field: Field):
@@ -41,16 +33,15 @@ def lane_rows(rows, field: Field):
     len(basis) // e.  insert(basis, i) reduces row i's first lane row: if
     that vanishes, row i is in the span; else all e enter and it returns True."""
     p, e = field.p, field.e
-    b, every_lane, pack = lanes(field, len(rows[0]) if rows else 0)
+    b, high, bias, _, pack = lanes(field, len(rows[0]) if rows else 0)
     lane, shift = (1 << b) - 1, b - 1
-    high, bias = every_lane(1 << shift), every_lane((1 << shift) - p)
     packed = [[pack([field.mul(p ** j, x) for x in row]) for j in range(e)] for row in rows]
 
     def add(x, y):
         x += y
         return x - (((x + bias) & high) >> shift) * p
 
-    class Multiples(dict):  # g -> g * row, built on first use
+    class Multiples(dict):  # g -> g * row by double-and-add, built on first use
         def __missing__(self, g):
             self[g] = power(self[1], g, add, 0)
             return self[g]
@@ -73,9 +64,7 @@ def lane_rows(rows, field: Field):
             if p == 2:
                 basis.append((pos, row))
             else:  # c = -1 / pivot digit
-                multiples = [0, *accumulate([row] * (p - 1), add)] if p < EAGER_P \
-                    else Multiples({1: row})
-                basis.append((pos, pow(p - (row >> pos & lane), -1, p), multiples))
+                basis.append((pos, pow(p - (row >> pos & lane), -1, p), Multiples({1: row})))
         return True
 
     return insert

@@ -96,10 +96,8 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     masks = range(total)  # walked lazily, never listed
     if not exhaustive:
         rng = random.Random(seed)
-        picked = {0, total - 1}
-        for i in range(n):
-            picked.add(1 << i)                 # size 1
-            picked.add((total - 1) ^ (1 << i))  # size n-1
+        singles = [1 << i for i in range(n)]
+        picked = {0, total - 1, *singles, *(total - 1 - x for x in singles)}  # sizes 0, n, 1, n-1
         splits = cb_split_count(n, budget)
         while len(picked) < splits:
             picked.add(rng.randrange(total))

@@ -231,16 +231,29 @@ def test_cb_on_empty_gamma_ends_at_once(write):
     assert proc.stdout == "seed=0\na=0 splits=1 exhaustive=true violations=0\n"
 
 
-def test_closed_pipe_exit_0(write):
+# `cicodes.cli` with a sweep that reports one violation per degree
+CB_VIOLATION = """\
+import sys
+from cicodes import cli
+from cicodes.theorems import CBReport
+cli.verify_cb_all = lambda setup, a, **kw: CBReport(a, 1, ((0, 1, 0),), True, 0)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("launch,code", [(["-m", "cicodes.cli"], 0), (["-c", CB_VIOLATION], 1)],
+                         ids=["clean", "violations"])
+def test_closed_pipe_keeps_exit_code(write, launch, code):
     """A reader that closes stdout before the report is written, as `| head`
-    may, ends the run with exit 0 and an empty stderr."""
+    may, leaves stderr empty and the exit code the command returned.  With
+    stdout buffered, as it is by default, the pipe breaks at the last flush."""
     env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "cicodes.cli", "cb", write(RM3),
-                             "--degrees", "0..3"], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=env)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, *launch, "cb", write(RM3), "--degrees", "0..3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     proc.stdout.close()
     try:
-        assert proc.wait(timeout=20) == 0
+        assert proc.wait(timeout=20) == code
         assert proc.stderr.read() == ""
     finally:
         proc.kill()

@@ -276,7 +276,8 @@ def rref_reference(rows, field):
     return rows[:r], pivots
 
 
-# F_37 and F_17^2 build a basis row's multiples on first use (p >= EAGER_P)
+# p = 2 (XOR) and odd p, prime and extension fields; F_37 and F_17^2 have p - 1
+# multiples per basis row, more than a reduction asks for, so most stay unbuilt
 LANE_FIELDS = {q: field_new(p, e) for q, p, e in (
     (2, 2, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2), (37, 37, 1), (289, 17, 2))}
 
