@@ -8,7 +8,8 @@ Variety file grammar (line oriented, '#' starts a comment):
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 cap exceeded.
 A reader that closes stdout early (`cicodes cb ... | head -1`) leaves stderr
-empty; the exit is the command's own, or 0 if it had not ended.
+empty; the exit is the command's own, or if it had not ended, 1 when `cb`
+had already found a violation and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import os
 import sys
 from collections import namedtuple
-from math import comb
 
 from . import families
 from .code import DEFAULT_CAP
@@ -26,7 +26,7 @@ from .cohomology import profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
-from .poly import parse as parse_poly, poly_text, read_int
+from .poly import monomial_count, parse as parse_poly, poly_text, read_int
 from .theorems import (
     cb_split_count,
     ci_setup,
@@ -133,25 +133,28 @@ def _parse_degree_range(text: str):
     return degrees
 
 
-def _check_work(n, m, degrees, jobs, what):
-    """Refuse a run on n points of P^m whose evaluation matrices e_b, b in
-    `degrees`, hold more than MAX_MATRIX_ENTRIES entries in all, then one
-    whose eliminations take more than MAX_ELIMINATION_WORK field operations:
-    each (rows, b) in `jobs` inserts rows of e_b, of cols = C(b+m, m)
-    entries, into a basis of at most min(n, cols) rows.  Each sum stops at
-    its first excess; the entry sum runs first, so it bounds the degrees."""
-    def cols(b):
-        return comb(b + m, m) if b >= 0 else 0
-
+def _check_work(n, m, degrees, jobs, what, s=None):
+    """Refuse a run on n points of P^m whose evaluation matrices, e_a for a
+    in `degrees` and also e_{s-a} when s is given, hold more than
+    MAX_MATRIX_ENTRIES entries in all, then one whose eliminations take more
+    than MAX_ELIMINATION_WORK field operations: each (rows, b) in `jobs`
+    inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
+    most min(n, cols) rows.  Each sum stops at its first excess; the entry
+    sum runs first, so it bounds the degrees.  With n = 0 no degree counts
+    an entry, so more degrees than MAX_MATRIX_ENTRIES are refused at once."""
+    too_many = f"{what} would build more than {MAX_MATRIX_ENTRIES} evaluation-matrix entries"
+    if degrees[MAX_MATRIX_ENTRIES:]:  # a slice: len() overflows on a huge range
+        raise ValueError(too_many)
     entries = 0
-    for b in degrees:
-        entries += n * cols(b)
+    for a in degrees:
+        cols = monomial_count(m, a) + (0 if s is None else monomial_count(m, s - a))
+        entries += n * cols
         if entries > MAX_MATRIX_ENTRIES:
-            raise ValueError(f"{what} would build more than "
-                             f"{MAX_MATRIX_ENTRIES} evaluation-matrix entries")
+            raise ValueError(too_many)
     work = 0
     for rows, b in jobs:
-        work += rows * cols(b) * min(n, cols(b))
+        cols = monomial_count(m, b)
+        work += rows * cols * min(n, cols)
         if work > MAX_ELIMINATION_WORK:
             raise ValueError(f"{what} would take more than {MAX_ELIMINATION_WORK} "
                              f"field operations to eliminate")
@@ -168,15 +171,15 @@ def cmd_cb(args) -> int:
     # the basis of the wider of e_a and e_{s-a}
     n, splits = setup.n, cb_split_count(setup.n, args.budget)
     inserts = 2 * splits if splits == 1 << n else n * splits
-    _check_work(n, vf.m, (b for a in degrees for b in (a, setup.s - a)),
-                ((inserts, max(a, setup.s - a)) for a in degrees), f"degrees {args.degrees}")
+    _check_work(n, vf.m, degrees, ((inserts, max(a, setup.s - a)) for a in degrees),
+                f"degrees {args.degrees}", setup.s)
     print(f"seed={args.seed}")
-    bad = False
     for a in degrees:
         report = verify_cb_all(setup, a, budget=args.budget, seed=args.seed)
+        if report.violations:  # set first: `main` returns it if the pipe breaks
+            args.code = EXIT_VALIDATION
         print(*report.lines(), sep="\n")
-        bad = bad or bool(report.violations)
-    return EXIT_VALIDATION if bad else EXIT_OK
+    return args.code
 
 
 def cmd_hilbert(args) -> int:
@@ -271,9 +274,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code = EXIT_OK  # if the reader leaves before the command ends
+    args.code = EXIT_OK  # the exit so far, if the reader leaves before the command ends
     try:
-        code = args.func(args)
+        args.code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
     except BrokenPipeError:  # the reader left early, as `| head` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -287,7 +290,7 @@ def main(argv=None) -> int:
     except (CICodesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    return code
+    return args.code
 
 
 if __name__ == "__main__":

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
 
 from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
 from .geometry import PointSet
 from .linalg import lanes, nullspace, rref
-from .poly import Polynomial, monomials_of_degree
+from .poly import Polynomial, monomial_count, monomials_of_degree
 
 DEFAULT_CAP = 1 << 22
 F0_SEED = 0  # seed of choose_f0's random search
@@ -22,8 +21,15 @@ def _monomial_row(point, monomials, field):
 
 
 def _point_row(point, a, m, field):
-    """Evaluations of the degree-a graded-lex monomial basis at one point."""
-    return _monomial_row(point, monomials_of_degree(m, a), field)
+    """One point's row of e_a (perfbench/layers.py reads this name)."""
+    return next(point_rows(PointSet((point,), m, field), a))
+
+
+def point_rows(gamma: PointSet, a: int):
+    """The point rows of e_a, each built when it is asked for.  The degree-a
+    monomials are listed once, and not at all when Gamma is empty."""
+    monomials = monomials_of_degree(gamma.m, a) if len(gamma) else ()
+    return (_monomial_row(pt, monomials, gamma.field) for pt in gamma)
 
 
 @dataclass(frozen=True)
@@ -36,18 +42,12 @@ class EvalMatrix:
     field: object
 
     @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
     def ncols(self):
-        return comb(self.degree + self.m, self.m) if self.degree >= 0 else 0
+        return monomial_count(self.m, self.degree)
 
 
 def evaluation_matrix(gamma: PointSet, a: int) -> EvalMatrix:
-    monomials = monomials_of_degree(gamma.m, a) if len(gamma) else ()  # none for no points
-    rows = tuple(_monomial_row(pt, monomials, gamma.field) for pt in gamma)
-    return EvalMatrix(rows, a, gamma.m, gamma.field)
+    return EvalMatrix(tuple(point_rows(gamma, a)), a, gamma.m, gamma.field)
 
 
 def rank_and_kernel(matrix: EvalMatrix):
@@ -106,7 +106,7 @@ def build_code(gamma: PointSet, a: int, f0: Polynomial = None) -> EvalCode:
     """Image of e_a as a code; coordinates divided by f0(p_i) when f0 is given."""
     field = gamma.field
     # spanning vectors of the code: one per monomial, coordinates per point
-    spanning = list(zip(*evaluation_matrix(gamma, a).rows))
+    spanning = list(zip(*point_rows(gamma, a)))
     if f0 is not None:
         scalers = []
         for pt in gamma:

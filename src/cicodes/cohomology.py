@@ -8,26 +8,24 @@ degree s - a usable across the whole degree window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .code import _monomial_row
+from .code import point_rows
 from .geometry import PointSet
 from .linalg import rank as matrix_rank
-from .poly import monomials_of_degree
+from .poly import monomial_count
 
 
 def rank_e(gamma: PointSet, a: int) -> int:
     """Rank of the evaluation map e_a; 0 in negative degrees, where no monomial
-    is listed.  Each point row is built only when the elimination asks for it,
-    so a full column rank builds at most C(a+m, m) + 1 rows."""
-    monomials = monomials_of_degree(gamma.m, a)
-    return matrix_rank((_monomial_row(pt, monomials, gamma.field) for pt in gamma),
-                       gamma.field)
+    is listed, and on an empty Gamma, where none is.  Each point row is built
+    only when the elimination asks for it, so a full column rank builds at
+    most C(a+m, m) + 1 rows."""
+    return matrix_rank(point_rows(gamma, a), gamma.field)
 
 
 def h0(gamma: PointSet, a: int) -> int:
     """Dimension of the degree-a forms vanishing on Gamma (kernel of e_a)."""
-    return comb(a + gamma.m, gamma.m) - rank_e(gamma, a) if a >= 0 else 0
+    return monomial_count(gamma.m, a) - rank_e(gamma, a)
 
 
 def h1(gamma: PointSet, a: int) -> int:
@@ -64,7 +62,7 @@ class CohomologyProfile:
     def table(self):
         """Rows (a, dim_Ra, rank, h0, h1) for a in [-1, |Gamma|]; dim_Ra = 0 at a = -1."""
         n, m = len(self.gamma), self.gamma.m
-        ranks = ((a, comb(a + m, m), self.rank(a)) for a in range(-1, n + 1))
+        ranks = ((a, monomial_count(m, a), self.rank(a)) for a in range(-1, n + 1))
         return tuple((a, dim, rk, dim - rk, n - rk) for a, dim, rk in ranks)
 
     def lines(self):

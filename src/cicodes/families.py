@@ -4,12 +4,11 @@ complete intersections, and the Hermitian-curve construction over F_{q^2}."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import DegreeOutOfRangeError
 from .geometry import check_space
-from .gf import Field, _prime_power, field_new, power
-from .poly import Polynomial
+from .gf import Field, _prime_power, field_new
+from .poly import parse
 
 
 @dataclass(frozen=True)
@@ -38,9 +37,9 @@ def _affine_family(kind: str, q: int, m: int, h: int):
     Gamma is the q^(m-h) affine points of F_q^(m-h) in the last coordinates."""
     field = field_new(*_prime_power(q))
     _check_m(m, q)
-    var = partial(Polynomial.variable, field, m + 1)
-    polys = [var(j) for j in range(1, h + 1)]
-    polys += [var(j, power=q) - var(0, power=q - 1) * var(j) for j in range(h + 1, m + 1)]
+    texts = [f"x{j}" for j in range(1, h + 1)]
+    texts += [f"x{j}^{q} - x0^{q - 1}*x{j}" for j in range(h + 1, m + 1)]
+    polys = [parse(text, m, field) for text in texts]
     return polys, FamilySpec(kind, q, m, (1,) * h + (q,) * (m - h), field)
 
 
@@ -78,17 +77,7 @@ def hermitian_ci(q: int):
     p, e = _prime_power(q)
     field = field_new(p, 2 * e)
     _check_m(2, q * q)
-    nvars = 3
-    lead = [0, q + 1, 0]
-    t1 = [1, 0, q]
-    t2 = [q, 0, 1]
-    curve = Polynomial(field, nvars, {
-        tuple(lead): 1,
-        tuple(t1): field.neg(1),
-        tuple(t2): field.neg(1),
-    })
-    trace = Polynomial(field, nvars, {(0, 0, q): 1, (q - 1, 0, 1): 1})
-    product = (power(trace, q - 1, Polynomial.__mul__, Polynomial.constant(field, nvars, 1))
-               - Polynomial.variable(field, nvars, 0, power=q * q - q))
+    texts = (f"x1^{q + 1} - x2^{q}*x0 - x2*x0^{q}",
+             f"(x2^{q} + x0^{q - 1}*x2)^{q - 1} - x0^{q * q - q}")
     spec = FamilySpec("hermitian", q, 2, (q + 1, q * q - q), field)
-    return [curve, product], spec
+    return [parse(text, 2, field) for text in texts], spec

@@ -14,11 +14,14 @@ from .errors import FieldMismatchError, PolySyntaxError, UnknownVariableError
 from .gf import Field, power
 
 
-def monomials_of_degree(m: int, a: int):
-    """All exponent tuples of total degree a in m+1 variables, graded-lex order.
+def monomial_count(m: int, a: int) -> int:
+    """dim R_a: the C(a+m, m) monomials of degree a in m+1 variables, 0 for a < 0."""
+    return comb(a + m, m) if a >= 0 else 0
 
-    Returns C(a+m, m) tuples; negative a yields the empty list.
-    """
+
+def monomials_of_degree(m: int, a: int):
+    """All `monomial_count(m, a)` exponent tuples of total degree a in m+1
+    variables, graded-lex order; negative a yields the empty list."""
     if a < 0:
         return []
     out = []
@@ -31,7 +34,6 @@ def monomials_of_degree(m: int, a: int):
             rec(prefix + (first,), remaining - first, slots - 1)
 
     rec((), a, m + 1)
-    assert len(out) == comb(a + m, m)
     return out
 
 
@@ -310,7 +312,7 @@ class _Parser:
                                        self.field.generator_element)
         mo = re.fullmatch(r"x(\d+)", tok)
         if mo:
-            idx = int(mo.group(1))
+            idx = read_int("variable index", mo.group(1))
             if idx > self.m:
                 raise UnknownVariableError(f"variable x{idx} exceeds x{self.m}")
             return Polynomial.variable(self.field, self.m + 1, idx)

@@ -17,7 +17,7 @@ from .cohomology import CohomologyProfile, h0, h1, rank_e
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
-from .linalg import lane_rows, rank
+from .linalg import lane_rows
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     field = setup.gamma.field
     rows = (evaluation_matrix(setup.gamma, setup.s - a).rows,  # bit clear
             evaluation_matrix(setup.gamma, a).rows)            # bit set
-    caps = tuple(rank(r, field) for r in rows)  # no subset's rank exceeds these
+    # the ranks on all of Gamma, which no subset's rank exceeds
+    caps = (rank_e(setup.gamma, setup.s - a), rank_e(setup.gamma, a))
     inserts, e = tuple(lane_rows(r, field) for r in rows), field.e
     bases, violations = ([], []), []
     levels = []  # per decided bit from n-1 down: (its basis, size before it)
@@ -153,9 +154,8 @@ def verify_projection_injectivity(setup: CISetup, a: int) -> bool:
     """Puncturing to any Gamma' with |Gamma'| >= n - (s-a+1) keeps h0 fixed,
     which is exactly injectivity of the projection of codewords."""
     rows = evaluation_matrix(setup.gamma, a).rows
-    field = setup.gamma.field
     size = setup.n - (setup.s - a + 1)
-    return _every_subset_has_rank(rows, size, rank(rows, field), field)
+    return _every_subset_has_rank(rows, size, rank_e(setup.gamma, a), setup.gamma.field)
 
 
 def hansen_bound(setup: CISetup, a: int) -> int:

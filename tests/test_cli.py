@@ -199,10 +199,11 @@ def test_bad_header_integer_exit_2(write, capsys, header, message):
 @pytest.mark.parametrize("poly, key", [
     pytest.param(f"x1^{LONG} - x0^2*x1", "exponent", id="exponent"),
     pytest.param(f"{LONG}*x1 - x0", "literal", id="literal"),
+    pytest.param(f"x{LONG}", "variable index", id="variable"),
 ])
 def test_long_integer_token_exit_2(write, capsys, poly, key):
-    """Exponents and literals go through the header's integer rule, so no
-    Python conversion message reaches the user."""
+    """Exponents, literals and variable indices go through the header's
+    integer rule, so no Python conversion message reaches the user."""
     code = main(["points", write(f"field p=5 e=1\nvars m=2\npoly {poly}\npoly x2 - x0\n")])
     captured = capsys.readouterr()
     assert code == 2
@@ -222,13 +223,39 @@ def test_cb_degrees_over_4300_digits_exit_2(write, capsys, degrees):
                             "is not an integer of at most 4300 digits\n")
 
 
+# no point lies on `poly 1`, so Gamma is empty, while s = 999,997
+EMPTY_GAMMA = "field p=5 e=1\nvars m=2\npoly 1\npoly x1^1000000 - x0^1000000\n"
+
+
 def test_cb_on_empty_gamma_ends_at_once(write):
-    """No point lies on `poly 1`, so Gamma is empty while e_{s-a} at s - a =
-    999,997 has about 5 * 10^11 monomials: none are listed for no points."""
-    path = write("field p=5 e=1\nvars m=2\npoly 1\npoly x1^1000000 - x0^1000000\n")
-    proc = run_child(["cb", path, "--degrees", "0"], timeout=10)
+    """e_{s-a} at s - a = 999,997 has about 5 * 10^11 monomials: none are
+    listed for no points."""
+    proc = run_child(["cb", write(EMPTY_GAMMA), "--degrees", "0"], timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "seed=0\na=0 splits=1 exhaustive=true violations=0\n"
+
+
+def test_analyze_on_empty_gamma_ends_at_once(write):
+    """rank e_a on no points is 0 without listing the C(a+2, 2) monomials,
+    so degree 100,000 gives the zero code as degree 1 does."""
+    proc = run_child(["analyze", write(EMPTY_GAMMA), "--degree", "100000"], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: the zero code has no nonzero codeword\n"
+
+
+@pytest.mark.parametrize("text,argv,what", [
+    pytest.param(EMPTY_GAMMA, ["cb", "--degrees", "0.." + "9" * 30],
+                 "degrees 0.." + "9" * 30, id="cb"),
+    pytest.param(EMPTY_GAMMA.replace("1000000", "9" * 4000), ["hilbert"],
+                 f"hilbert over degrees 0..{10 ** 4000 - 3}", id="hilbert"),
+])
+def test_degree_range_on_empty_gamma_exit_2(write, text, argv, what):
+    """No point counts no matrix entry in any degree, so a degree range is
+    refused by its length alone before a degree is walked."""
+    proc = run_child([argv[0], write(text), *argv[1:]], timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: {what} would build more than 10000000 "
+                           f"evaluation-matrix entries\n")
 
 
 # `cicodes.cli` with a sweep that reports one violation per degree
@@ -254,6 +281,25 @@ def test_closed_pipe_keeps_exit_code(write, launch, code):
     proc.stdout.close()
     try:
         assert proc.wait(timeout=20) == code
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_closed_pipe_after_violation_exit_1(write):
+    """With stdout unbuffered the pipe breaks inside the degree loop, once
+    its reports pass the pipe buffer; a violation already read keeps exit 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen([sys.executable, "-c", CB_VIOLATION, "cb", write(EMPTY_GAMMA),
+                             "--degrees", "0..100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert proc.stdout.readline() == "seed=0\n"
+        assert proc.stdout.readline().endswith(" violations=1\n")
+        proc.stdout.close()
+        assert proc.wait(timeout=20) == 1
         assert proc.stderr.read() == ""
     finally:
         proc.kill()

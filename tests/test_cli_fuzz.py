@@ -119,6 +119,10 @@ COMMANDS = st.one_of(
 )
 
 
+# no point lies on `poly 1`, so Gamma is empty, while s = 999,997
+EMPTY_GAMMA = "field p=5 e=1\nvars m=2\npoly 1\npoly x1^1000000 - x0^1000000\n"
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(text=variety_files(), command=COMMANDS)
@@ -128,6 +132,9 @@ COMMANDS = st.one_of(
 @example(text="field p=7 e=1\nvars m=3\n" + "".join(
     "poly " + " * ".join(f"(x{i} - {c}*x0)" for c in range(k)) + "\n"
     for i, k in ((1, 5), (2, 7), (3, 7))), command=["hilbert"])
+# no point on `poly 1`: e_a lists no monomial, and a long degree range is refused
+@example(text=EMPTY_GAMMA, command=["analyze", "--degree=100000", "--cap=0"])
+@example(text=EMPTY_GAMMA, command=["cb", "--degrees=0.." + "9" * 30, "--budget=1"])
 def test_fuzzed_variety_file_ends_cleanly(tmp_path, text, command):
     path = tmp_path / "variety.txt"
     path.write_text(text)

@@ -96,7 +96,7 @@ def test_matrix_degree0_all_ones(f3):
 def test_matrix_rm_degree2_full_rank(f3):
     pts = rm3_points(f3)
     mat = evaluation_matrix(pts, 2)
-    assert (mat.nrows, mat.ncols) == (9, 6)
+    assert (len(mat.rows), mat.ncols) == (9, 6)
     r, kernel = rank_and_kernel(mat)
     assert r == 6 and not kernel
     # oracle: no nonzero conic vanishes at all 9 affine points

@@ -162,24 +162,40 @@ def test_lane_kernel_full_ranks_match_ci_hilbert_function(ci_families, name):
             assert len(basis) == field.e * ci_hilbert_function(setup.degrees, m, b), (name, b)
 
 
+def test_empty_gamma_lists_no_monomial(monkeypatch):
+    """On no points rank e_a and h1 are 0 and h0 is dim R_a, at a degree
+    whose C(a+2, 2) monomials could not be listed."""
+    import sys
+
+    def listed(m, a):
+        raise AssertionError(f"listed the degree-{a} monomials")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cicodes") and hasattr(module, "monomials_of_degree"):
+            monkeypatch.setattr(module, "monomials_of_degree", listed)
+    empty, a = PointSet((), 2, field_new(5, 1)), 10 ** 6
+    assert (rank_e(empty, a), h1(empty, a)) == (0, 0)
+    assert h0(empty, a) == comb(a + 2, 2)
+
+
 @pytest.mark.parametrize("name,a", [("rs5", 2), ("rm3", 1)])
 def test_rank_e_builds_rows_on_demand(request, monkeypatch, name, a):
     """At full column rank, rank_e builds the point rows up to the first one
     that fills the basis, plus the one that stops the elimination: 4 of 5 on
     RS q=5 at a = 2 (3 columns), 5 of 9 on RM(3,2) at a = 1 (3 columns, its
     first three points collinear)."""
-    from cicodes import cohomology
+    from cicodes import code
     setup = request.getfixturevalue(name)
     rows = evaluation_matrix(setup.gamma, a).rows
     cols = len(rows[0])
     filled = next(j for j in range(cols, setup.n + 1)
                   if matrix_rank(rows[:j], setup.gamma.field) == cols)
-    built, row = [], cohomology._monomial_row
+    built, row = [], code._monomial_row
 
     def counted(point, monomials, field):
         built.append(point)
         return row(point, monomials, field)
 
-    monkeypatch.setattr(cohomology, "_monomial_row", counted)
+    monkeypatch.setattr(code, "_monomial_row", counted)
     assert rank_e(setup.gamma, a) == cols
     assert len(built) == filled + 1 < setup.n
