@@ -15,8 +15,10 @@ from .code import (
     DistanceResult,
     EvalCode,
     EvalMatrix,
+    brouwer_zimmermann,
     build_code,
     choose_f0,
+    column_distance,
     evaluation_matrix,
     min_distance,
     rank_and_kernel,

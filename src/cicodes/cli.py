@@ -140,11 +140,13 @@ def _check_work(n, m, degrees, jobs, what, s=None):
     than MAX_ELIMINATION_WORK field operations: each (rows, b) in `jobs`
     inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
     most min(n, cols) rows.  Each sum stops at its first excess; the entry
-    sum runs first, so it bounds the degrees.  With n = 0 no degree counts
-    an entry, so more degrees than MAX_MATRIX_ENTRIES are refused at once."""
+    sum runs first, so it bounds the degrees.  More degrees than
+    MAX_MATRIX_ENTRIES are refused at once; with n = 0 every sum is 0."""
     too_many = f"{what} would build more than {MAX_MATRIX_ENTRIES} evaluation-matrix entries"
     if degrees[MAX_MATRIX_ENTRIES:]:  # a slice: len() overflows on a huge range
         raise ValueError(too_many)
+    if not n:
+        return
     entries = 0
     for a in degrees:
         cols = monomial_count(m, a) + (0 if s is None else monomial_count(m, s - a))

@@ -258,6 +258,16 @@ def test_degree_range_on_empty_gamma_exit_2(write, text, argv, what):
                            f"evaluation-matrix entries\n")
 
 
+def test_hilbert_on_empty_gamma_in_time(write):
+    """s + 2 = 9,999,999 degrees, just under the refusal: the entry sum ends
+    at once with no points, and the symmetry check reads the degrees around
+    sigma + 1 and s - sigma - 1 and one between (26.6 s when it walked them all)."""
+    text = EMPTY_GAMMA.replace("1000000", "9999999")
+    proc = run_child(["hilbert", write(text)], timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-3:] == ["sigma=-1", "symmetry=pass", "cb_scheme=true"]
+
+
 # `cicodes.cli` with a sweep that reports one violation per degree
 CB_VIOLATION = """\
 import sys
@@ -564,6 +574,37 @@ def test_analyze_long_words_in_time(capsys, tmp_path):
     assert proc.returncode == 0
     assert proc.stdout == ("n=6561 k=2 d=6560 bound=6560 singleton=6560 mds=true "
                            "mds_sufficient=true\n")
+
+
+def test_analyze_dimension_2_from_columns(capsys, tmp_path):
+    """Extended RS over F_65536 at degree 1 (k = 2) counts its columns on
+    each point of P^1, where the scan of q + 1 words of 65,536 lanes took
+    24-33 s.  The child's timeout turns a regression into a failure."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", "rs", "--q", "65536", "--out", path]) == 0
+    capsys.readouterr()
+    proc = run_child(["analyze", path, "--degree", "1", "--no-range-check"], timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("n=65536 k=2 d=65535 bound=65535 singleton=65535 mds=true "
+                           "mds_sufficient=true\n")
+
+
+@pytest.mark.parametrize("degree,line", [
+    (5, "n=24 k=18 d=4 bound=4 singleton=7 mds=false mds_sufficient=false"),
+    (6, "n=24 k=21 d=3 bound=3 singleton=4 mds=false mds_sufficient=false"),
+    (7, "n=24 k=23 d=2 bound=2 singleton=2 mds=true mds_sufficient=true"),
+])
+def test_analyze_hermitian_past_the_cap(capsys, tmp_path, degree, line):
+    """The Hermitian curve over F_9 at a = 5..7, whose scans would visit
+    1.9 * 10^16 to 1.1 * 10^21 words: the Brouwer-Zimmermann search answers
+    d = s - a + 2, which a word of that weight certifies.  A child process,
+    so that a scan of every projective class fails by its timeout."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", "hermitian", "--q", "3", "--out", path]) == 0
+    capsys.readouterr()
+    proc = run_child(["analyze", path, "--degree", str(degree), "--cap", str(10 ** 30)],
+                     timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", "")
 
 
 @pytest.mark.parametrize("q,degree,timeout", [(4096, 155, 10), (65536, 38, 20)])

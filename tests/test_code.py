@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from cicodes import (
+    brouwer_zimmermann,
     build_code,
     choose_f0,
     enumerate_projective,
@@ -218,6 +219,17 @@ def test_rm_distances(f3, a, expected):
     code = build_code(pts, a)
     res = min_distance(code)
     assert res.d == expected == brute_distance(code)
+
+
+def test_brouwer_zimmermann_words_on_rm4_2():
+    """RM(4,2) at a = 3 (n = 16, k = 10, d = 4): two information sets, r = 10
+    and 6, bound 4 after the first finishes weight 3, at most 2,450 words
+    where the scan of every projective class visits 349,525."""
+    polys, spec = reed_muller_ci(4, 2)
+    code = build_code(variety_points(polys, 2, spec.field), 3)
+    res = brouwer_zimmermann(code)
+    assert (code.k, res.d) == (10, 4)
+    assert res.codewords_scanned <= 2450
 
 
 def test_cap_exceeded(f3):

@@ -2,7 +2,8 @@
 log-domain monomial kernel behind every evaluation, the upward sigma scan,
 the truncated profile, the one-elimination CB-scheme test, the CB sweep
 and the combination walks over incremental echelon bases, rank and RREF by
-row insertion, and the minimum distance folded over the codeword odometer."""
+row insertion, the minimum distance folded over the codeword odometer, and
+the Brouwer-Zimmermann search and column count against its weights."""
 
 import random
 import sys
@@ -14,9 +15,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from cicodes import (
     CBReport,
     CISetup,
+    CohomologyProfile,
+    EvalCode,
     Polynomial,
+    brouwer_zimmermann,
     build_code,
     cb_identity,
+    column_distance,
     field_new,
     h0,
     h1,
@@ -28,9 +33,10 @@ from cicodes import (
     verify_cb_all,
     verify_mds_corollary,
     verify_projection_injectivity,
+    verify_symmetry,
     weight_distribution,
 )
-from cicodes.code import evaluation_matrix
+from cicodes.code import _bound_gain, evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
 from cicodes.linalg import lane_rows, rank, rref
 from cicodes.poly import monomials_of_degree
@@ -381,3 +387,73 @@ def test_packed_lanes_match_reference(q, picks, a):
     assert weights == weight_distribution_reference(code)
     dist = min_distance(code)
     assert (dist.d, dist.codewords_scanned) == (min(weights), (q ** code.k - 1) // (q - 1))
+
+
+@st.composite
+def generators(draw):
+    """A code from a random k x n matrix, k <= 6 and n <= 16, a few of whose
+    columns are set to zero or to a copy of another, so the rank can fall
+    below k."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    field = KERNEL_FIELDS[q]
+    k = draw(st.integers(1, {2: 6, 3: 5}.get(q, 4)))  # at most 9^4 messages
+    n = draw(st.integers(k, 16))
+    column = st.lists(st.integers(0, q - 1), min_size=k, max_size=k)
+    cols = draw(st.lists(column, min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        cols[i] = cols[j]
+    for i in draw(st.lists(index, max_size=2)):
+        cols[i] = [0] * k
+    gen, _ = rref([list(row) for row in zip(*cols)], field)
+    gamma = PointSet(tuple((1, j) for j in range(n)), 1, field)  # n labels
+    return EvalCode(gamma, 0, tuple(tuple(row) for row in gen))
+
+
+@settings(max_examples=500, deadline=None)
+@given(generators())
+@example(EvalCode(PointSet(((1, 0), (1, 1), (1, 2)), 1, KERNEL_FIELDS[9]), 0,
+                  ((1, 3, 0), (0, 0, 1))))  # columns 0 and 1 lie on one point of P^1
+def test_distance_searches_match_lightest_weight(code):
+    """brouwer_zimmermann, and column_distance for k <= 2, against the
+    lightest weight of the exhaustive scan."""
+    assume(code.k)
+    lightest = min(weight_distribution(code))
+    assert brouwer_zimmermann(code).d == lightest
+    if code.k <= 2:
+        assert column_distance(code).d == lightest
+
+
+def test_bound_gains_sum_to_each_sets_share():
+    """After weight w, an information set of r new columns in a code of
+    dimension k has added max(0, w + 1 - (k - r)) to the bound."""
+    for k in range(1, 12):
+        for r in range(1, k + 1):
+            total = 0
+            for w in range(1, k + 1):
+                total += _bound_gain(w, k, r)
+                assert total == max(0, w + 1 - (k - r)), (k, r, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 8), s=st.integers(-3, 40), data=st.data())
+@example(n=0, s=10 ** 6, data=None)  # an empty Gamma: sigma = -1, every degree passes
+def test_symmetry_window_matches_every_degree(n, s, data):
+    """verify_symmetry's degrees up to sigma + 1 give the verdict of every
+    degree of [-1, s+1], on nondecreasing ranks below n, from at most
+    2 * (sigma + 3) rank reads however large s is."""
+    ranks = sorted(data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1))) if n > 1 else []
+    gamma = PointSet(tuple((1, j) for j in range(n)), 1, KERNEL_FIELDS[2])
+    prof = CohomologyProfile(gamma, tuple(ranks))
+    every = all(prof.rank(a) + prof.rank(s - a) == n for a in range(-1, s + 2))
+    reads = []
+
+    class Counted:  # prof, counting its rank reads
+        sigma = prof.sigma
+
+        def rank(self, a):
+            reads.append(a)
+            return prof.rank(a)
+
+    assert verify_symmetry(CISetup(gamma, (), s), Counted()) == every
+    assert len(reads) <= 2 * (prof.sigma + 3)

@@ -21,6 +21,8 @@ from cicodes import (
     verify_projection_injectivity,
     verify_symmetry,
 )
+from cicodes import theorems
+from cicodes.families import extended_rs, hermitian_ci, reed_muller_ci
 from cicodes.errors import (
     CapExceededError,
     DegreeOutOfRangeError,
@@ -166,6 +168,36 @@ def test_over_cap_refused_before_build(rm3, monkeypatch, verify):
     with pytest.raises(CapExceededError):
         verify(rm3, 2, cap=1)
     assert calls == []
+
+
+@pytest.mark.parametrize("family,a,search,d", [
+    ((reed_muller_ci, 4, 2), 3, "brouwer_zimmermann", 4),
+    ((extended_rs, 11, 1), 5, "brouwer_zimmermann", 6),
+    ((extended_rs, 16, 1), 4, "brouwer_zimmermann", 12),
+    ((hermitian_ci, 3), 2, "brouwer_zimmermann", 16),
+    ((reed_muller_ci, 7, 2), 2, "min_distance", 35),  # BZ would visit 20,304 words
+], ids=["rm4_2", "rs11", "rs16", "herm3", "rm7_2"])
+def test_distance_search_dispatch(monkeypatch, family, a, search, d):
+    """On the benchmark's `analyze` codes, verify_main_theorem runs the
+    Brouwer-Zimmermann search where its worst case is below the scan's
+    (q^k-1)/(q-1) words, and there it visits fewer words than the scan
+    would."""
+    polys, spec = family[0](*family[1:])
+    setup = ci_setup(polys, spec.m, spec.field)
+    runs = {}
+    for name in ("brouwer_zimmermann", "column_distance", "min_distance"):
+        def recorded(*args, fn=getattr(theorems, name), name=name, **kwargs):
+            runs[name] = fn(*args, **kwargs)
+            return runs[name]
+        monkeypatch.setattr(theorems, name, recorded)
+    report = verify_main_theorem(setup, a)
+    assert (list(runs), report.d_exact, runs[search].d) == ([search], d, d)
+    q, k = spec.field.q, report.k
+    scan = (q ** k - 1) // (q - 1)
+    if search == "min_distance":
+        assert runs[search].codewords_scanned == scan
+    else:
+        assert runs[search].codewords_scanned < scan
 
 
 def test_main_theorem_rs7(rs7_m2):
