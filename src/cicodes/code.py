@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
+from itertools import tee
 from math import comb
 
 from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
@@ -136,58 +138,67 @@ def check_word_cap(q: int, k: int, cap: int) -> None:
         raise CapExceededError(words, cap)
 
 
-def _layout(field, n: int):
-    """`linalg.lanes` for words of length n, and what a word's weight needs.
-    A digit is nonzero exactly when adding nonzero = 2^(b-1) - 1 sets its top
-    bit; the weight ORs these bits over each coordinate's e lanes by the
-    shifts in `fold`, and counts them in `first`, the top bit of each
-    coordinate's lane 0.  Returns shift = b - 1, high, bias, pack, nonzero,
-    first, fold."""
+def _walk(field, n: int, rows):
+    """The one codeword walk over `rows` g_0 .. g_{r-1}, each packed once as
+    its e lane rows w^i * g_j in the layout of `linalg.lanes`.  Returns
+    walk(lo, hi, hist), which visits depth first every message with lo..hi
+    nonzero entries whose first nonzero entry is 1 and adds each word's
+    weight to hist.  An entry's q-1 nonzero values come in the modular p-ary
+    Gray order: step t adds w^(v_p(t)) * g_j, so a word is its parent or its
+    sibling plus one packed row, one XOR or one lane add.  A digit is nonzero
+    exactly when adding 2^(b-1) - 1 sets its top bit; the weight ORs these
+    bits over each coordinate's e lanes by the shifts in `fold` and counts
+    them in `first`, the top bit of each coordinate's lane 0."""
+    p, e, k = field.p, field.e, len(rows)
     b, high, bias, every_lane, pack = lanes(field, n)
-    e, top = field.e, 1 << (b - 1)
+    shift, top, char2 = b - 1, 1 << (b - 1), p == 2
+    nonzero = every_lane(top - 1)
     first = int(("0" * (b * (e - 1)) + format(top, f"0{b}b")) * n, 2)
     fold, covered = [], 1
     while covered < e:  # shifts that OR lanes c*e+1 .. c*e+e-1 into lane c*e
         fold.append(min(covered, e - covered) * b)
         covered += fold[-1] // b
-    return b - 1, high, bias, pack, every_lane(top - 1), first, fold
+    gray = []  # v_p(t) for t = 1 .. q-1
+    for i in range(e):
+        gray = (gray + [i]) * (p - 1) + gray
+    powers = ([pack([field.mul(p ** i, x) for x in row]) for i in range(e)] for row in rows)
+    steps = [[w[i] for i in gray] for w in powers]  # row j's steps w^(v_p(t)) * g_j
+
+    def walk(lo, hi, hist):
+        def visit(acc, start, depth):
+            """The words acc + c * g_i, i >= start, c != 0, acc having depth
+            nonzero entries, and below each the words with more entries."""
+            depth += 1
+            weigh, deeper = depth >= lo, depth < hi
+            for i in range(start, k - lo + depth if depth < lo else k):  # room for lo
+                x, down = acc, deeper and i + 1 < k
+                for g in steps[i] if depth > 1 else steps[i][:1]:  # the first entry is 1
+                    if char2:
+                        x ^= g
+                        nz = x
+                    else:
+                        x += g
+                        x -= (((x + bias) & high) >> shift) * p
+                        nz = (x + nonzero) & high
+                    if weigh:
+                        for s in fold:
+                            nz |= nz >> s
+                        hist[(nz & first).bit_count()] += 1
+                    if down:
+                        visit(x, i + 1, depth)
+
+        visit(0, 0, 0)
+
+    return walk
 
 
 def _weights(code: EvalCode, cap: int):
     """Weight histogram (count of words by weight) of one nonzero codeword
-    per projective class: for each lead, the messages whose first nonzero
-    digit is a 1 there.  The later digits, written in base p as sum d_i w^i,
-    are walked in the modular p-ary Gray code: step t adds 1 to the base-p
-    coordinate at the p-adic valuation of t, so the word gains that
-    coordinate's w^i * g_j.  First refuses, by `check_word_cap`, when the
-    words it would visit exceed the cap.  A word is one int in the layout of
-    `linalg.lanes`, a step adds as that says, and its weight is read as
-    `_layout` says."""
-    gen, field, n, k = code.gen, code.field, code.n, code.k
-    p, e, q = field.p, field.e, field.q
-    check_word_cap(q, k, cap)
-    shift, high, bias, pack, nonzero, first, fold = _layout(field, n)
-    # w^i * g_j for rows j = k-1 down to 0, i < e: the last row moves fastest
-    steps = [pack([field.mul(p ** i, g) for g in gen[j]])
-             for j in range(k - 1, -1, -1) for i in range(e)]
-    hist = [0] * (n + 1)
-    for lead in range(k):
-        w = pack(gen[lead])
-        for t in range(q ** (k - lead - 1)):
-            if t:
-                i = 0  # v_p(t): the base-p coordinate that steps
-                while t % p == 0:
-                    t //= p
-                    i += 1
-                if p == 2:
-                    w ^= steps[i]
-                else:
-                    w += steps[i]
-                    w -= (((w + bias) & high) >> shift) * p
-            nz = w if p == 2 else (w + nonzero) & high
-            for s in fold:
-                nz |= nz >> s
-            hist[(nz & first).bit_count()] += 1
+    per projective class, by `_walk` over the generator; first refuses, by
+    `check_word_cap`, when the words it would visit exceed the cap."""
+    check_word_cap(code.field.q, code.k, cap)
+    hist = [0] * (code.n + 1)
+    _walk(code.field, code.n, code.gen)(1, code.k, hist)
     return hist
 
 
@@ -224,20 +235,19 @@ def column_distance(code: EvalCode) -> DistanceResult:
 
 def _information_sets(gen, field):
     """Systematic generators of the code on information sets, each built
-    when it is asked for: set j is the RREF of the generator with the
-    columns no earlier set used moved first, in that column order.  Yields
-    (r_j, rows), r_j being its pivots in those unused columns, so the sets'
-    new columns are disjoint; ends when the unused columns have rank 0."""
+    when it is asked for.  Set 0 is the generator itself, an RREF whose
+    pivots are its rows' leading 1s; set j is the RREF of the generator with
+    the columns no earlier set used moved first, in that column order.
+    Yields (r_j, rows), r_j being its pivots in those unused columns, so the
+    sets' new columns are disjoint; ends when the unused columns have rank 0."""
     n = len(gen[0])
-    unused = list(range(n))
-    while True:
+    unused, rows, new = range(n), gen, {row.index(1) for row in gen}
+    while new:
+        yield len(new), rows
+        unused = [c for c in unused if c not in new]
         order = unused + sorted(set(range(n)).difference(unused))
         rows, pivots = rref([[row[c] for c in order] for row in gen], field)
         new = {order[c] for c in pivots if c < len(unused)}
-        if not new:
-            return
-        yield len(new), rows
-        unused = [c for c in unused if c not in new]
 
 
 def _bound_gain(w: int, k: int, r: int) -> int:
@@ -251,73 +261,25 @@ def brouwer_zimmermann(code: EvalCode) -> DistanceResult:
     """Exact minimum distance by the Brouwer-Zimmermann search (K.-H.
     Zimmermann, TU Hamburg-Harburg TR 3-96, 1996; M. Grassl 2006), from the
     code alone.  For w = 1, 2, ..., k each information set of
-    `_information_sets` in turn visits the messages of weight w whose first
-    nonzero entry is 1.  A word is a sum of packed multiples c*g_i of the
-    set's rows, walked depth-first with partial sums, so each costs one lane
-    add.  A word no set has visited is nonzero in more than w_j pivots of
-    set j, w_j being the weight set j has finished, so in at least
+    `_information_sets` in turn runs `_walk` over its rows on the messages of
+    weight w.  A word no set has visited is nonzero in more than w_j pivots
+    of set j, w_j being the weight set j has finished, so in at least
     max(0, w_j + 1 - (k - r_j)) of its r_j new columns.  The search ends when
     the sum of these reaches the lightest word visited, or when the first
     set has visited every message (w = k).  Counts the words visited."""
     field, n, k = code.field, code.n, code.k
     if not k:
         raise ValueError("the zero code has no nonzero codeword")
-    p, e, q = field.p, field.e, field.q
-    shift, high, bias, pack, nonzero, first, fold = _layout(field, n)
-
-    def add(x, y):
-        if p == 2:
-            return x ^ y
-        x += y
-        return x - (((x + bias) & high) >> shift) * p
-
-    def weight(x):
-        nz = x if p == 2 else (x + nonzero) & high
-        for s in fold:
-            nz |= nz >> s
-        return (nz & first).bit_count()
-
-    def multiples(row):
-        """c * row for c = 1 .. q-1, one lane add each: (c - p^i) * row plus
-        w^i * row, digit i being c's lowest nonzero base-p digit."""
-        basis = [pack([field.mul(p ** i, x) for x in row]) for i in range(e)]
-        mults = [0]
-        for c in range(1, q):
-            i = 0
-            while c // p ** i % p == 0:
-                i += 1
-            mults.append(add(mults[c - p ** i], basis[i]))
-        return mults[1:]
-
-    def lightest(mults, acc, start, left):
-        """(lightest weight, count) of the words acc plus multiples of `left`
-        distinct rows from `start` on."""
-        if not left:
-            return weight(acc), 1
-        best, count = n + 1, 0
-        for i in range(start, k - left + 1):
-            for m in mults[i]:
-                light, c = lightest(mults, add(acc, m), i + 1, left - 1)
-                best, count = min(best, light), count + c
-        return best, count
-
-    fresh, built = _information_sets(code.gen, field), []  # built: (r_j, multiples)
-
-    def sets():
-        yield from built
-        for r, rows in fresh:
-            built.append((r, [multiples(row) for row in rows]))
-            yield built[-1]
-
-    best, visited, bound = n + 1, 0, 0
+    walks = ((r, _walk(field, n, rows)) for r, rows in _information_sets(code.gen, field))
+    sets, = tee(walks, 1)  # each copy runs from the first set; each set is packed once
+    hist, bound = [0] * (n + 1), 0
     for w in range(1, k + 1):
-        for r, mults in sets():
-            for i in range(k - w + 1):  # the first nonzero entry, at row i, is 1
-                light, c = lightest(mults, mults[i][0], i + 1, w - 1)
-                best, visited = min(best, light), visited + c
+        for r, walk in copy(sets):
+            walk(w, w, hist)
             bound += _bound_gain(w, k, r)
+            best = next(wt for wt, c in enumerate(hist) if c)
             if bound >= best or w == k:
-                return DistanceResult(best, visited)
+                return DistanceResult(best, sum(hist))
 
 
 def brouwer_zimmermann_cost(n: int, k: int, q: int) -> int:
@@ -325,7 +287,7 @@ def brouwer_zimmermann_cost(n: int, k: int, q: int) -> int:
     words, from n, k and q alone.  It assumes n // k disjoint full
     information sets and one set of n % k columns, and counts the words
     visited until the bound reaches Singleton, n - k + 1, plus k*n for each
-    set's RREF and k*(q - 1) lane adds for its rows' multiples."""
+    set's RREF and k*(q - 1) for its rows' Gray steps in `_walk`."""
     ranks = [k] * (n // k) + [n % k] * (n % k > 0)
     cost, bound = (k * n + k * (q - 1)) * len(ranks), 0
     for w in range(1, k + 1):

@@ -18,7 +18,7 @@ from .cohomology import CohomologyProfile, h0, h1, rank_e
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
-from .linalg import lane_rows
+from .linalg import lane_rows, rank
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     rows = (evaluation_matrix(setup.gamma, setup.s - a).rows,  # bit clear
             evaluation_matrix(setup.gamma, a).rows)            # bit set
     # the ranks on all of Gamma, which no subset's rank exceeds
-    caps = (rank_e(setup.gamma, setup.s - a), rank_e(setup.gamma, a))
+    caps = tuple(rank(r, field) for r in rows)
     inserts, e = tuple(lane_rows(r, field) for r in rows), field.e
     bases, violations = ([], []), []
     levels = []  # per decided bit from n-1 down: (its basis, size before it)
@@ -156,7 +156,7 @@ def verify_projection_injectivity(setup: CISetup, a: int) -> bool:
     which is exactly injectivity of the projection of codewords."""
     rows = evaluation_matrix(setup.gamma, a).rows
     size = setup.n - (setup.s - a + 1)
-    return _every_subset_has_rank(rows, size, rank_e(setup.gamma, a), setup.gamma.field)
+    return _every_subset_has_rank(rows, size, rank(rows, setup.gamma.field), setup.gamma.field)
 
 
 def hansen_bound(setup: CISetup, a: int) -> int:

@@ -590,15 +590,18 @@ def test_analyze_dimension_2_from_columns(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("degree,line", [
+    (3, "n=24 k=10 d=12 bound=6 singleton=15 mds=false mds_sufficient=false"),
     (5, "n=24 k=18 d=4 bound=4 singleton=7 mds=false mds_sufficient=false"),
     (6, "n=24 k=21 d=3 bound=3 singleton=4 mds=false mds_sufficient=false"),
     (7, "n=24 k=23 d=2 bound=2 singleton=2 mds=true mds_sufficient=true"),
 ])
 def test_analyze_hermitian_past_the_cap(capsys, tmp_path, degree, line):
-    """The Hermitian curve over F_9 at a = 5..7, whose scans would visit
-    1.9 * 10^16 to 1.1 * 10^21 words: the Brouwer-Zimmermann search answers
-    d = s - a + 2, which a word of that weight certifies.  A child process,
-    so that a scan of every projective class fails by its timeout."""
+    """The Hermitian curve over F_9 at a = 3 and 5..7, whose scans would
+    visit 4.4 * 10^8 and 1.9 * 10^16 to 1.1 * 10^21 words: the
+    Brouwer-Zimmermann search answers d = 12 at a = 3, after visiting
+    2,411,094 words, and d = s - a + 2 above, which a word of that weight
+    certifies.  A child process, so that a scan of every projective class
+    fails by its timeout."""
     path = str(tmp_path / "variety.txt")
     assert main(["family", "hermitian", "--q", "3", "--out", path]) == 0
     capsys.readouterr()

@@ -232,6 +232,24 @@ def test_brouwer_zimmermann_words_on_rm4_2():
     assert res.codewords_scanned <= 2450
 
 
+def test_brouwer_zimmermann_first_set_is_the_generator(monkeypatch):
+    """The generator is an RREF in the identity column order, so it is the
+    first information set as it stands: on RM(4,2) at a = 3 the search
+    eliminates for the second set and for the one that finds no new column."""
+    from cicodes import code as code_module
+    polys, spec = reed_muller_ci(4, 2)
+    code = build_code(variety_points(polys, 2, spec.field), 3)
+    calls, rref = [], code_module.rref
+
+    def counted(rows, field):
+        calls.append(None)
+        return rref(rows, field)
+
+    monkeypatch.setattr(code_module, "rref", counted)
+    assert brouwer_zimmermann(code).d == 4
+    assert len(calls) == 2
+
+
 def test_cap_exceeded(f3):
     pts = rm3_points(f3)
     code = build_code(pts, 3)  # k = 8

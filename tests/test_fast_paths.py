@@ -2,8 +2,9 @@
 log-domain monomial kernel behind every evaluation, the upward sigma scan,
 the truncated profile, the one-elimination CB-scheme test, the CB sweep
 and the combination walks over incremental echelon bases, rank and RREF by
-row insertion, the minimum distance folded over the codeword odometer, and
-the Brouwer-Zimmermann search and column count against its weights."""
+row insertion, the one codeword walk against encoding each message, the
+minimum distance folded over it, and the Brouwer-Zimmermann search and
+column count against its weights."""
 
 import random
 import sys
@@ -36,7 +37,7 @@ from cicodes import (
     verify_symmetry,
     weight_distribution,
 )
-from cicodes.code import _bound_gain, evaluation_matrix
+from cicodes.code import _bound_gain, _walk, evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
 from cicodes.linalg import lane_rows, rank, rref
 from cicodes.poly import monomials_of_degree
@@ -408,6 +409,30 @@ def generators(draw):
     gen, _ = rref([list(row) for row in zip(*cols)], field)
     gamma = PointSet(tuple((1, j) for j in range(n)), 1, field)  # n labels
     return EvalCode(gamma, 0, tuple(tuple(row) for row in gen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators(), st.data())
+def test_walk_weighs_each_message_once(code, data):
+    """_walk(lo, hi) weighs each message with lo..hi nonzero entries whose
+    first nonzero entry is 1 once, as encoding it directly does: with
+    lo = hi = w, the Brouwer-Zimmermann step, C(k, w) * (q-1)^(w-1) words."""
+    field, k, n = code.field, code.k, code.n
+    assume(k)
+    lo = data.draw(st.integers(1, k))
+    hi = data.draw(st.integers(lo, k))
+    hist = [0] * (n + 1)
+    _walk(field, n, code.gen)(lo, hi, hist)
+    expected = [0] * (n + 1)
+    for msg in product(range(field.q), repeat=k):
+        if lo <= k - msg.count(0) <= hi and next(c for c in msg if c) == 1:
+            word = [0] * n
+            for c, row in zip(msg, code.gen):
+                word = [field.add(x, field.mul(c, g)) for x, g in zip(word, row)]
+            expected[n - word.count(0)] += 1
+    assert hist == expected
+    if lo == hi:
+        assert sum(hist) == comb(k, lo) * (field.q - 1) ** (lo - 1)
 
 
 @settings(max_examples=500, deadline=None)

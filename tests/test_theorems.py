@@ -131,6 +131,28 @@ def test_projection_injectivity_vacuous(two_conic):
     assert verify_projection_injectivity(two_conic, two_conic.s + 5)
 
 
+def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
+    """verify_cb_all and verify_projection_injectivity rank the point rows
+    they already built: on RM(4,2) (16 points, s = 5) at a = 2, the sweep
+    builds e_3's and e_2's 16 rows each and the injectivity check e_2's
+    16, where ranking them again through rank_e built 56 and 26."""
+    from cicodes import code
+    polys, spec = reed_muller_ci(4, 2)
+    setup = ci_setup(polys, spec.m, spec.field)
+    built, row = [], code._monomial_row
+
+    def counted(point, monomials, field):
+        built.append(point)
+        return row(point, monomials, field)
+
+    monkeypatch.setattr(code, "_monomial_row", counted)
+    assert verify_cb_all(setup, 2, budget=1).violations == ()
+    assert len(built) == 32
+    built.clear()
+    assert verify_projection_injectivity(setup, 2)
+    assert len(built) == 16
+
+
 def test_hansen_bound_values(rm3, herm2):
     assert hansen_bound(rm3, 2) == 3
     assert hansen_bound(herm2, 2) == 2  # = q
