@@ -135,7 +135,7 @@ def _parse_degree_range(text: str):
 
 def _check_work(n, m, degrees, jobs, what, s=None):
     """Refuse a run on n points of P^m whose evaluation matrices, e_a for a
-    in `degrees` and also e_{s-a} when s is given, hold more than
+    in `degrees` and, given s, e_{s-a} and (if 0 <= a <= s) e_s, hold more than
     MAX_MATRIX_ENTRIES entries in all, then one whose eliminations take more
     than MAX_ELIMINATION_WORK field operations: each (rows, b) in `jobs`
     inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
@@ -149,7 +149,8 @@ def _check_work(n, m, degrees, jobs, what, s=None):
         return
     entries = 0
     for a in degrees:
-        cols = monomial_count(m, a) + (0 if s is None else monomial_count(m, s - a))
+        cols = monomial_count(m, a) + (0 if s is None else monomial_count(m, s - a)
+                                       + (0 <= a <= s) * monomial_count(m, s))
         entries += n * cols
         if entries > MAX_MATRIX_ENTRIES:
             raise ValueError(too_many)
@@ -168,13 +169,13 @@ def cmd_cb(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    # each degree a builds e_a and e_{s-a} on all n points; the walk inserts
-    # 2^(n+1) rows over all 2^n splits, else at most n per split, each into
-    # the basis of the wider of e_a and e_{s-a}
-    n, splits = setup.n, cb_split_count(setup.n, args.budget)
+    # degree a builds e_a, e_{s-a} and, if 0 <= a <= s, e_s, whose n rows the
+    # certificate eliminates; a walk inserts 2^(n+1) rows over all 2^n splits,
+    # else at most n per split, each into the basis of the wider of e_a, e_{s-a}
+    n, s, splits = setup.n, setup.s, cb_split_count(setup.n, args.budget)
     inserts = 2 * splits if splits == 1 << n else n * splits
-    _check_work(n, vf.m, degrees, ((inserts, max(a, setup.s - a)) for a in degrees),
-                f"degrees {args.degrees}", setup.s)
+    jobs = (job for a in degrees for job in ((n * (0 <= a <= s), s), (inserts, max(a, s - a))))
+    _check_work(n, vf.m, degrees, jobs, f"degrees {args.degrees}", s)
     print(f"seed={args.seed}")
     for a in degrees:
         report = verify_cb_all(setup, a, budget=args.budget, seed=args.seed)

@@ -81,16 +81,33 @@ def cb_split_count(n: int, budget: int) -> int:
 
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
                   seed: int = 0) -> CBReport:
-    """Check the identity over all subset splits, or a seeded sample when
-    2^n exceeds the budget (always including sizes 0, 1, n-1, n).
+    """Check the identity over all subset splits, or a seeded sample when 2^n
+    exceeds the budget (always sizes 0, 1, n-1, n).  Every split holds, with no
+    walk, if rank e_a + rank e_{s-a} = n on Gamma and, for 0 <= a <= s, e_s's
+    one relation lambda has no zero entry: R_s = R_a R_{s-a}, so e_a^T diag(lambda)
+    spans e_{s-a}'s left kernel (outside [0, s] one map is 0, the other injective)."""
+    n, s, field = setup.n, setup.s, setup.gamma.field
+    rows = (evaluation_matrix(setup.gamma, s - a).rows,  # bit clear
+            evaluation_matrix(setup.gamma, a).rows)      # bit set
+    # the ranks on all of Gamma, which no subset's rank exceeds
+    caps = tuple(rank(r, field) for r in rows)
+    certified = sum(caps) == n
+    if certified and 0 <= a <= s:  # lambda: 1 at gen's one free column f, -row[f] at row's pivot
+        gen = build_code(setup.gamma, s).gen
+        free = set(range(n)) - {row.index(1) for row in gen}
+        certified = len(free) == 1 and all(row[f] for f in free for row in gen)
+    if certified:
+        return CBReport(a, cb_split_count(n, budget), (), 1 << n <= budget, seed)
+    return _walk_splits(setup, a, budget, seed, rows, caps)
 
-    With Gamma' the points in the mask and Gamma'' the rest, lhs = rank
-    e_a(Gamma) - rank e_a(Gamma') and rhs = |Gamma''| - rank e_{s-a}(Gamma''),
-    as in `cb_identity`.  The sorted masks are walked as the leaves of a
-    binary trie on bits n-1 .. 0 with two echelon bases of lane rows (e per
-    unit of rank, `linalg.lane_rows`), of the degree-a rows of Gamma' and the
-    degree-(s-a) rows of Gamma'': a mask keeps the rows of the high bits it
-    shares with the one before and inserts one per other bit."""
+
+def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, caps) -> CBReport:
+    """`verify_cb_all` split by split (each side as in `cb_identity`), from
+    e_{s-a}'s and e_a's rows on Gamma and their ranks: each sorted mask is a
+    leaf of a binary trie on bits n-1 .. 0, walked with two echelon bases of
+    lane rows (`linalg.lane_rows`), of the degree-a rows of Gamma' (the mask's
+    points) and the degree-(s-a) rows of Gamma'' (the rest); a mask keeps the
+    rows of the high bits it shares with the one before and inserts one per other bit."""
     n = setup.n
     total = 1 << n
     exhaustive = total <= budget
@@ -104,10 +121,6 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
             picked.add(rng.randrange(total))
         masks = sorted(picked)
     field = setup.gamma.field
-    rows = (evaluation_matrix(setup.gamma, setup.s - a).rows,  # bit clear
-            evaluation_matrix(setup.gamma, a).rows)            # bit set
-    # the ranks on all of Gamma, which no subset's rank exceeds
-    caps = tuple(rank(r, field) for r in rows)
     inserts, e = tuple(lane_rows(r, field) for r in rows), field.e
     bases, violations = ([], []), []
     levels = []  # per decided bit from n-1 down: (its basis, size before it)

@@ -268,9 +268,10 @@ def test_cap_counts_visited_words(f3):
     assert exc.value.required == visited
 
 
-def test_odometer_setup_is_one_row_per_base_p_digit(monkeypatch):
-    """Over F_3^6 the odometer stores w^i * g_j for i < e: at most k*e*n
-    products, not one scaled row per field element (k*q*n = 531,441 here)."""
+def test_walk_packs_one_lane_row_per_base_p_digit(monkeypatch):
+    """Over F_3^6, code._walk packs each generator row g_j once, as its e
+    lane rows w^i * g_j for i < e: at most k*e*n products, not one scaled row
+    per field element (k*q*n = 531,441 here)."""
     field = field_new(3, 6)
     line = PointSet(tuple((1, x) for x in range(field.q)), 1, field)
     code = build_code(line, 0)  # the repetition code of length 729

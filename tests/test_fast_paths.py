@@ -37,9 +37,10 @@ from cicodes import (
     verify_symmetry,
     weight_distribution,
 )
+from cicodes import theorems
 from cicodes.code import _bound_gain, _walk, evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
-from cicodes.linalg import lane_rows, rank, rref
+from cicodes.linalg import lane_rows, nullspace, rank, rref
 from cicodes.poly import monomials_of_degree
 
 KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
@@ -169,8 +170,32 @@ def verify_cb_all_reference(setup, a, budget, seed):
     return CBReport(a, len(masks), tuple(violations), exhaustive, seed)
 
 
+def walk_splits(setup, a, budget=10 ** 5, seed=0):
+    """The split walk alone, from the rows and ranks verify_cb_all hands it."""
+    rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (setup.s - a, a))
+    caps = tuple(rank(r, setup.gamma.field) for r in rows)
+    return theorems._walk_splits(setup, a, budget, seed, rows, caps)
+
+
+def certified_reference(setup, a):
+    """rank e_a + rank e_{s-a} = n and, for 0 <= a <= s, the left kernel of
+    e_s is one line spanned by a relation with no zero entry."""
+    gamma, n, s = setup.gamma, setup.n, setup.s
+    if rank_e(gamma, a) + rank_e(gamma, s - a) != n:
+        return False
+    if not 0 <= a <= s:
+        return True
+    e_s = evaluation_matrix(gamma, s).rows
+    relations = nullspace([list(col) for col in zip(*e_s)], gamma.field, n)
+    return len(relations) == 1 and all(relations[0])
+
+
 # Not complete intersections with these s, so the identity fails on some splits.
 NOT_CI_LINE = (LINE_AT_INFINITY[:4], 1, 0)
+# e_0 and e_1 have ranks 1 + 3 = n, but e_1's one relation is 0 at a point.
+ZERO_IN_RELATION = ([2, 13, 25, 28], 1, 0)
+# At a = s - a = 1, e_1 has rank 3 = n / 2, but e_2 has rank n: no relation.
+NO_RELATION = ([7, 8, 11, 16, 22, 24], 2, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,17 +211,58 @@ NOT_CI_LINE = (LINE_AT_INFINITY[:4], 1, 0)
 @example(q=4, picks=list(range(0, 18, 2)), s=2, a=1, budget=1000, seed=0)  # F_4
 @example(q=9, picks=list(range(12)), s=3, a=1, budget=1000, seed=2)  # deep prefixes
 @example(q=5, picks=GRID_3X3 + [0], s=3, a=2, budget=7, seed=3)  # budget < 2n+2
+@example(q=5, picks=GRID_3X3, s=3, a=2, budget=40, seed=1)  # certified, sampled
+@example(q=5, picks=ZERO_IN_RELATION[0], s=ZERO_IN_RELATION[1], a=ZERO_IN_RELATION[2],
+         budget=1000, seed=0)
+@example(q=5, picks=NO_RELATION[0], s=NO_RELATION[1], a=NO_RELATION[2],
+         budget=1000, seed=0)
 def test_cb_sweep_matches_per_split_identity(q, picks, s, a, budget, seed):
+    """verify_cb_all and its split walk against the per-split path; a
+    certified degree, which the walk never sees, has no violation there."""
     space = PLANES[q]
     setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
-    assert verify_cb_all(setup, a, budget, seed) == \
-        verify_cb_all_reference(setup, a, budget, seed)
+    reference = verify_cb_all_reference(setup, a, budget, seed)
+    walked = walk_splits(setup, a, budget, seed)
+    assert verify_cb_all(setup, a, budget, seed) == walked == reference
+    if certified_reference(setup, a):
+        assert walked.violations == ()
 
 
-def test_cb_sweep_examples_have_violations():
-    picks, s, a = NOT_CI_LINE
-    setup = CISetup(PLANES[5].subset(picks), (), s)
-    assert verify_cb_all(setup, a).violations
+def counted_walks(monkeypatch):
+    """The degrees verify_cb_all walks from now on, in call order."""
+    walks, walk = [], theorems._walk_splits
+
+    def counted(*args):
+        walks.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(theorems, "_walk_splits", counted)
+    return walks
+
+
+def test_cb_sweep_examples_have_violations(monkeypatch):
+    """Degrees the certificate refuses are walked, and the walk lists their
+    violations: ranks that sum to less than n, a relation of e_s with a zero
+    entry, and an e_s with no relation."""
+    walks = counted_walks(monkeypatch)
+    for (picks, s, a), violations in ((NOT_CI_LINE, 5), (ZERO_IN_RELATION, 1),
+                                      (NO_RELATION, 4)):
+        setup = CISetup(PLANES[5].subset(picks), (), s)
+        assert not certified_reference(setup, a)
+        assert len(verify_cb_all(setup, a).violations) == violations
+    assert walks == [0, 0, 1]
+
+
+def test_cb_certificate_covers_complete_intersections(monkeypatch):
+    """The two conics and the 3 x 3 grid are certified at every degree, in
+    [0, s] and outside it, so no split is walked."""
+    walks = counted_walks(monkeypatch)
+    for picks, s in ((TWO_CONICS, 1), (GRID_3X3, 3)):
+        setup = CISetup(PLANES[5].subset(picks), (), s)
+        for a in range(-2, s + 3):
+            assert certified_reference(setup, a)
+            assert verify_cb_all(setup, a, 64) == verify_cb_all_reference(setup, a, 64, 0)
+    assert walks == []
 
 
 def test_cb_sweep_deeper_than_recursion_limit():

@@ -132,22 +132,30 @@ def test_projection_injectivity_vacuous(two_conic):
 
 
 def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
-    """verify_cb_all and verify_projection_injectivity rank the point rows
-    they already built: on RM(4,2) (16 points, s = 5) at a = 2, the sweep
-    builds e_3's and e_2's 16 rows each and the injectivity check e_2's
-    16, where ranking them again through rank_e built 56 and 26."""
+    """verify_cb_all, its split walk and verify_projection_injectivity rank
+    the point rows they already built: on RM(4,2) (16 points, s = 5) at a = 2,
+    the walk builds e_3's and e_2's 16 rows each, the certificate that
+    replaces it those and e_5's 16, and the injectivity check e_2's 16, where
+    ranking them again through rank_e built 56 and 26."""
     from cicodes import code
+    from cicodes.linalg import rank
     polys, spec = reed_muller_ci(4, 2)
     setup = ci_setup(polys, spec.m, spec.field)
     built, row = [], code._monomial_row
 
     def counted(point, monomials, field):
-        built.append(point)
+        built.append((len(monomials), point))
         return row(point, monomials, field)
 
     monkeypatch.setattr(code, "_monomial_row", counted)
-    assert verify_cb_all(setup, 2, budget=1).violations == ()
+    rows = tuple(code.evaluation_matrix(setup.gamma, b).rows for b in (3, 2))
+    caps = tuple(rank(r, spec.field) for r in rows)
     assert len(built) == 32
+    assert theorems._walk_splits(setup, 2, 1, 0, rows, caps).violations == ()
+    assert len(built) == 32
+    built.clear()
+    assert verify_cb_all(setup, 2, budget=1).violations == ()
+    assert len(built) == len(set(built)) == 48  # C(b+2, 2) = 10, 6 and 21 columns
     built.clear()
     assert verify_projection_injectivity(setup, 2)
     assert len(built) == 16
