@@ -11,7 +11,7 @@ from math import comb
 
 from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
 from .geometry import PointSet
-from .linalg import lanes, nullspace, rref
+from .linalg import nullspace, rref
 from .poly import Polynomial, monomial_count, monomials_of_degree
 
 DEFAULT_CAP = 1 << 22
@@ -140,20 +140,31 @@ def check_word_cap(q: int, k: int, cap: int) -> None:
 
 def _walk(field, n: int, rows):
     """The one codeword walk over `rows` g_0 .. g_{r-1}, each packed once as
-    its e lane rows w^i * g_j in the layout of `linalg.lanes`.  Returns
-    walk(lo, hi, hist), which visits depth first every message with lo..hi
-    nonzero entries whose first nonzero entry is 1 and adds each word's
-    weight to hist.  An entry's q-1 nonzero values come in the modular p-ary
-    Gray order: step t adds w^(v_p(t)) * g_j, so a word is its parent or its
-    sibling plus one packed row, one XOR or one lane add.  A digit is nonzero
-    exactly when adding 2^(b-1) - 1 sets its top bit; the weight ORs these
-    bits over each coordinate's e lanes by the shifts in `fold` and counts
-    them in `first`, the top bit of each coordinate's lane 0."""
+    its e lane rows w^i * g_j: one int holding base-p digit i of coordinate
+    c in the b-bit lane c*e + i, b = 1 for p = 2 (words add by XOR), else
+    bitlen(p) + 1 (a lane sum reaches p iff adding bias = 2^(b-1) - p sets
+    its top bit).  Returns walk(lo, hi, hist), which visits depth first
+    every message with lo..hi nonzero entries whose first nonzero entry is 1
+    and adds each word's weight to hist.  An entry's q-1 nonzero values come
+    in the modular p-ary Gray order: step t adds w^(v_p(t)) * g_j, so a word
+    is its parent or its sibling plus one packed row, one XOR or one lane
+    add.  A digit is nonzero exactly when adding 2^(b-1) - 1 sets its top
+    bit; the weight ORs these bits over each coordinate's e lanes by the
+    shifts in `fold` and counts them in `first`, the top bit of each
+    coordinate's lane 0."""
     p, e, k = field.p, field.e, len(rows)
-    b, high, bias, every_lane, pack = lanes(field, n)
+    b = 1 if p == 2 else p.bit_length() + 1
     shift, top, char2 = b - 1, 1 << (b - 1), p == 2
-    nonzero = every_lane(top - 1)
+    ones = ((1 << b * e * n) - 1) // ((1 << b) - 1)  # 1 in every lane
+    high, bias, nonzero = top * ones, (top - p) * ones, (top - 1) * ones
     first = int(("0" * (b * (e - 1)) + format(top, f"0{b}b")) * n, 2)
+    text = {}  # element -> its e lanes, most significant digit first
+
+    def pack(row):
+        for x in set(row).difference(text):
+            text[x] = "".join(format(d, f"0{b}b") for d in reversed(field.coeffs(x)))
+        return int("".join([text[x] for x in reversed(row)]) or "0", 2)
+
     fold, covered = [], 1
     while covered < e:  # shifts that OR lanes c*e+1 .. c*e+e-1 into lane c*e
         fold.append(min(covered, e - covered) * b)

@@ -18,7 +18,7 @@ from .cohomology import CohomologyProfile, h0, h1, rank_e
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
-from .linalg import lane_rows, rank
+from .linalg import insert, rank
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,17 @@ def cb_split_count(n: int, budget: int) -> int:
     return total if total <= budget else min(total, max(budget, 2 * n + 2))
 
 
+def _relations(gamma: PointSet, a: int):
+    """How many relations the rows of e_a have, and whether every point lies
+    in some relation's support, read off the RREF generator of C(Gamma)_a,
+    the RREF of e_a's transpose: one relation per free column f, 1 at f and
+    -row[f] at each row's pivot (its leading 1).  So a free column is in a
+    support, and a pivot column is iff its row is nonzero in a free column."""
+    gen = build_code(gamma, a).gen
+    free = set(range(len(gamma))) - {row.index(1) for row in gen}
+    return len(free), all(any(row[c] for c in free) for row in gen)
+
+
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
                   seed: int = 0) -> CBReport:
     """Check the identity over all subset splits, or a seeded sample when 2^n
@@ -92,10 +103,8 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
     # the ranks on all of Gamma, which no subset's rank exceeds
     caps = tuple(rank(r, field) for r in rows)
     certified = sum(caps) == n
-    if certified and 0 <= a <= s:  # lambda: 1 at gen's one free column f, -row[f] at row's pivot
-        gen = build_code(setup.gamma, s).gen
-        free = set(range(n)) - {row.index(1) for row in gen}
-        certified = len(free) == 1 and all(row[f] for f in free for row in gen)
+    if certified and 0 <= a <= s:
+        certified = _relations(setup.gamma, s) == (1, True)
     if certified:
         return CBReport(a, cb_split_count(n, budget), (), 1 << n <= budget, seed)
     return _walk_splits(setup, a, budget, seed, rows, caps)
@@ -104,10 +113,10 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
 def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, caps) -> CBReport:
     """`verify_cb_all` split by split (each side as in `cb_identity`), from
     e_{s-a}'s and e_a's rows on Gamma and their ranks: each sorted mask is a
-    leaf of a binary trie on bits n-1 .. 0, walked with two echelon bases of
-    lane rows (`linalg.lane_rows`), of the degree-a rows of Gamma' (the mask's
-    points) and the degree-(s-a) rows of Gamma'' (the rest); a mask keeps the
-    rows of the high bits it shares with the one before and inserts one per other bit."""
+    leaf of a binary trie on bits n-1 .. 0, walked with two echelon bases
+    (`linalg.insert`), of the degree-a rows of Gamma' (the mask's points) and
+    the degree-(s-a) rows of Gamma'' (the rest); a mask keeps the rows of the
+    high bits it shares with the one before and inserts one per other bit."""
     n = setup.n
     total = 1 << n
     exhaustive = total <= budget
@@ -121,7 +130,6 @@ def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, caps) -> 
             picked.add(rng.randrange(total))
         masks = sorted(picked)
     field = setup.gamma.field
-    inserts, e = tuple(lane_rows(r, field) for r in rows), field.e
     bases, violations = ([], []), []
     levels = []  # per decided bit from n-1 down: (its basis, size before it)
     for mask in masks:
@@ -133,10 +141,10 @@ def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, caps) -> 
             side = mask >> b & 1
             basis = bases[side]
             levels.append((basis, len(basis)))
-            if len(basis) < e * caps[side]:
-                inserts[side](basis, b)
-        lhs = caps[1] - len(bases[1]) // e
-        rhs = n - mask.bit_count() - len(bases[0]) // e
+            if len(basis) < caps[side]:
+                insert(basis, rows[side][b], field)
+        lhs = caps[1] - len(bases[1])
+        rhs = n - mask.bit_count() - len(bases[0])
         if lhs != rhs:
             violations.append((mask, lhs, rhs))
         prev = mask
@@ -148,16 +156,15 @@ def _every_subset_has_rank(rows, size, target, field) -> bool:
     subset exceeds (vacuous if size > n; size < 0 counts as 0), by a
     depth-first walk of the combinations with one row insert per node: a
     prefix at `target` passes its subtree, one that cannot reach it fails."""
-    insert, e = lane_rows(rows, field), field.e
     basis, todo = [], [(-1, 0, 0)]  # (row to insert, rows taken, basis size before)
     while todo:
         i, taken, keep = todo.pop()
         del basis[keep:]  # back to the parent's rows
         if i >= 0:
-            insert(basis, i)
-        if len(basis) == e * target:
+            insert(basis, rows[i], field)
+        if len(basis) == target:
             continue
-        if len(basis) // e + size - taken < target:
+        if len(basis) + size - taken < target:
             return False
         todo.extend((j, taken + 1, len(basis))
                     for j in range(len(rows) - size + taken, i, -1))
@@ -240,10 +247,7 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool
 
 def is_cb_scheme(gamma: PointSet, sg: int) -> bool:
     """Dropping any one point keeps h0 in degree sg = sigma(Gamma) unchanged:
-    every point lies in the support of a relation among the rows of e_sg.  In
-    the RREF generator of C(Gamma)_sg, the RREF of e_sg's transpose, every
-    free column does, and a pivot column (a row's leading 1) does iff its row
-    is nonzero in a free column.  Vacuous when sg = -1."""
-    gen = build_code(gamma, sg).gen
-    free = set(range(len(gamma))) - {row.index(1) for row in gen}
-    return all(any(row[c] for c in free) for row in gen)
+    every point lies in the support of a relation among the rows of e_sg
+    (`_relations`).  Vacuous when sg = -1."""
+    return _relations(gamma, sg)[1]
+

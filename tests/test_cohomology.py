@@ -21,7 +21,7 @@ from cicodes import (
     sigma,
 )
 from cicodes.geometry import PointSet
-from cicodes.linalg import lane_rows, rank as matrix_rank
+from cicodes.linalg import rank as matrix_rank
 
 
 def test_h0_examples(rm3, two_conic):
@@ -146,20 +146,6 @@ def test_ci_hilbert_function_oracle(ci_families):
         assert [row[2] for row in prof.table[:len(window)]] == expected, name
         assert [rank_e(setup.gamma, a) for a in window] == expected, name
         assert prof.sigma == setup.s and expected[-1] == setup.n, name
-
-
-@pytest.mark.parametrize("name", ["rm_q4_m2", "hermitian_q3"])
-def test_lane_kernel_full_ranks_match_ci_hilbert_function(ci_families, name):
-    """The CB sweep's lane kernel, given all n point rows, has F_q-rank H(a)
-    at a and at s - a for every a in 0..s (F_4 and F_9: two lanes per row)."""
-    setup = ci_families[name]
-    field, m = setup.gamma.field, setup.gamma.m
-    for a in range(setup.s + 1):
-        for b in (a, setup.s - a):
-            insert, basis = lane_rows(evaluation_matrix(setup.gamma, b).rows, field), []
-            for i in range(setup.n):
-                insert(basis, i)
-            assert len(basis) == field.e * ci_hilbert_function(setup.degrees, m, b), (name, b)
 
 
 def test_empty_gamma_lists_no_monomial(monkeypatch):

@@ -40,7 +40,7 @@ from cicodes import (
 from cicodes import theorems
 from cicodes.code import _bound_gain, _walk, evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
-from cicodes.linalg import lane_rows, nullspace, rank, rref
+from cicodes.linalg import insert, nullspace, rank, rref
 from cicodes.poly import monomials_of_degree
 
 KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
@@ -349,9 +349,9 @@ def rref_reference(rows, field):
     return rows[:r], pivots
 
 
-# p = 2 (XOR) and odd p, prime and extension fields; F_37 and F_17^2 have p - 1
-# multiples per basis row, more than a reduction asks for, so most stay unbuilt
-LANE_FIELDS = {q: field_new(p, e) for q, p, e in (
+# p = 2 and odd p, prime and extension fields, with a large prime (F_37) and
+# an odd-p extension past the kernel fields (F_17^2)
+INSERT_FIELDS = {q: field_new(p, e) for q, p, e in (
     (2, 2, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2), (37, 37, 1), (289, 17, 2))}
 
 
@@ -359,7 +359,7 @@ LANE_FIELDS = {q: field_new(p, e) for q, p, e in (
 def dependent_rows(draw):
     """Rows c1*u + c2*v over a few drawn rows u, v of width 0..6: zero rows
     (c1 = c2 = 0), repeats and F_q-multiples come up often."""
-    field = LANE_FIELDS[draw(st.sampled_from(sorted(LANE_FIELDS)))]
+    field = INSERT_FIELDS[draw(st.sampled_from(sorted(INSERT_FIELDS)))]
     ncols, scalar = draw(st.integers(0, 6)), st.integers(0, field.q - 1)
     pool = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
                          min_size=1, max_size=4))
@@ -372,19 +372,21 @@ def dependent_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(dependent_rows())
-@example((LANE_FIELDS[9], [[1, 4], [3, 5], [0, 0], [1, 4]]))  # row 1 = w * row 0
-@example((LANE_FIELDS[37], [[5, 0, 36], [36, 1, 0], [4, 1, 36]]))  # row 2 = row 0 + row 1
-def test_lane_kernel_rank_matches_rank(case):
-    """insert(basis, i) grows the basis, by e lane rows, exactly when row i
-    raises linalg.rank of the rows so far; len(basis) // e is that rank."""
+@example((INSERT_FIELDS[9], [[1, 4], [3, 5], [0, 0], [1, 4]]))  # row 1 = w * row 0
+@example((INSERT_FIELDS[37], [[5, 0, 36], [36, 1, 0], [4, 1, 36]]))  # row 2 = row 0 + row 1
+def test_insert_grows_with_reference_rank(case):
+    """insert(basis, row) grows the basis, by one entry, exactly when the row
+    raises the Gauss-Jordan reference's pivot count of the rows so far, so
+    len(basis) is that rank."""
     field, rows = case
-    insert, basis = lane_rows(rows, field), []
-    for i in range(len(rows)):
+    basis = []
+    for i, row in enumerate(rows):
         before = len(basis)
-        grew = insert(basis, i)
-        assert grew == (rank(rows[:i + 1], field) > rank(rows[:i], field))
-        assert len(basis) - before == (field.e if grew else 0)
-    assert len(basis) // field.e == rank(rows, field)
+        grew = insert(basis, row, field)
+        assert grew == (len(rref_reference(rows[:i + 1], field)[1])
+                        > len(rref_reference(rows[:i], field)[1]))
+        assert len(basis) - before == grew
+    assert len(basis) == len(rref_reference(rows, field)[1])
 
 
 @settings(max_examples=200, deadline=None)
