@@ -141,23 +141,24 @@ def check_word_cap(q: int, k: int, cap: int) -> None:
 def _walk(field, n: int, rows):
     """The one codeword walk over `rows` g_0 .. g_{r-1}, each packed once as
     its e lane rows w^i * g_j: one int holding base-p digit i of coordinate
-    c in the b-bit lane c*e + i, b = 1 for p = 2 (words add by XOR), else
-    bitlen(p) + 1 (a lane sum reaches p iff adding bias = 2^(b-1) - p sets
-    its top bit).  Returns walk(lo, hi, hist), which visits depth first
-    every message with lo..hi nonzero entries whose first nonzero entry is 1
-    and adds each word's weight to hist.  An entry's q-1 nonzero values come
-    in the modular p-ary Gray order: step t adds w^(v_p(t)) * g_j, so a word
-    is its parent or its sibling plus one packed row, one XOR or one lane
-    add.  A digit is nonzero exactly when adding 2^(b-1) - 1 sets its top
-    bit; the weight ORs these bits over each coordinate's e lanes by the
-    shifts in `fold` and counts them in `first`, the top bit of each
-    coordinate's lane 0."""
+    c in the b-bit lane c*e + i, b = bitlen(p - 1) + 1.  Words add by XOR
+    for p = 2, else by a lane add (a lane sum reaches p iff adding
+    bias = 2^(b-1) - p sets its top bit).  Returns walk(lo, hi, hist), which
+    visits depth first every message with lo..hi nonzero entries whose
+    first nonzero entry is 1 and adds each word's weight to hist.  An
+    entry's q-1 nonzero values come in the modular p-ary Gray order: step t
+    adds w^(v_p(t)) * g_j, so a word is its parent or its sibling plus one
+    packed row, one XOR or one lane add.  No reduced digit reaches its
+    lane's top bit, so a coordinate's u = b*e bits read as one number
+    v < 2^(u-1), nonzero exactly when adding 2^(u-1) - 1 sets bit u-1; the
+    weight is one add and one popcount of these bits."""
     p, e, k = field.p, field.e, len(rows)
-    b = 1 if p == 2 else p.bit_length() + 1
-    shift, top, char2 = b - 1, 1 << (b - 1), p == 2
+    b = (p - 1).bit_length() + 1
+    u, shift, top, char2 = b * e, b - 1, 1 << (b - 1), p == 2
     ones = ((1 << b * e * n) - 1) // ((1 << b) - 1)  # 1 in every lane
-    high, bias, nonzero = top * ones, (top - p) * ones, (top - 1) * ones
-    first = int(("0" * (b * (e - 1)) + format(top, f"0{b}b")) * n, 2)
+    high, bias = top * ones, (top - p) * ones
+    unit = ((1 << u * n) - 1) // ((1 << u) - 1)  # 1 in each coordinate's lowest bit
+    nonzero, flags = ((1 << u - 1) - 1) * unit, (1 << u - 1) * unit
     text = {}  # element -> its e lanes, most significant digit first
 
     def pack(row):
@@ -165,10 +166,6 @@ def _walk(field, n: int, rows):
             text[x] = "".join(format(d, f"0{b}b") for d in reversed(field.coeffs(x)))
         return int("".join([text[x] for x in reversed(row)]) or "0", 2)
 
-    fold, covered = [], 1
-    while covered < e:  # shifts that OR lanes c*e+1 .. c*e+e-1 into lane c*e
-        fold.append(min(covered, e - covered) * b)
-        covered += fold[-1] // b
     gray = []  # v_p(t) for t = 1 .. q-1
     for i in range(e):
         gray = (gray + [i]) * (p - 1) + gray
@@ -186,15 +183,11 @@ def _walk(field, n: int, rows):
                 for g in steps[i] if depth > 1 else steps[i][:1]:  # the first entry is 1
                     if char2:
                         x ^= g
-                        nz = x
                     else:
                         x += g
                         x -= (((x + bias) & high) >> shift) * p
-                        nz = (x + nonzero) & high
                     if weigh:
-                        for s in fold:
-                            nz |= nz >> s
-                        hist[(nz & first).bit_count()] += 1
+                        hist[((x + nonzero) & flags).bit_count()] += 1
                     if down:
                         visit(x, i + 1, depth)
 

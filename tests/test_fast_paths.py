@@ -435,7 +435,7 @@ def test_min_distance_is_lightest_weight(q, picks, a):
 
 
 LINES = {q: enumerate_projective(1, field_new(p, e)) for q, p, e in (
-    (2, 2, 1), (3, 3, 1), (7, 7, 1), (16, 2, 4), (27, 3, 3), (31, 31, 1))}
+    (2, 2, 1), (3, 3, 1), (7, 7, 1), (16, 2, 4), (27, 3, 3), (31, 31, 1), (49, 7, 2))}
 
 
 @settings(max_examples=150, deadline=None)
@@ -445,9 +445,10 @@ LINES = {q: enumerate_projective(1, field_new(p, e)) for q, p, e in (
 @example(q=31, picks=list(range(32)), a=1)  # the lane bias 2^5 - 31 = 1
 @example(q=7, picks=list(range(8)), a=3)  # the lane bias 2^3 - 7 = 1
 @example(q=27, picks=list(range(28)), a=1)  # e = 3: three lanes per coordinate
+@example(q=49, picks=list(range(32)), a=1)  # p = 2^3 - 1 in each of two lanes
 def test_packed_lanes_match_reference(q, picks, a):
     """Point subsets of P^1: p = 2^j - 1 leaves the odd-p lane bias no slack,
-    and e > 1 exercises the fold over a coordinate's lanes."""
+    and e > 1 weighs a coordinate's e lanes as one number."""
     line = LINES[q]
     gamma = line.subset(i % len(line) for i in picks)
     assume(q ** min(a + 1, len(gamma)) <= 4096)  # messages the reference encodes
@@ -456,6 +457,32 @@ def test_packed_lanes_match_reference(q, picks, a):
     assert weights == weight_distribution_reference(code)
     dist = min_distance(code)
     assert (dist.d, dist.codewords_scanned) == (min(weights), (q ** code.k - 1) // (q - 1))
+
+
+WIDE_FIELDS = {q: field_new(p, e) for q, p, e in (
+    (2, 2, 1), (4, 2, 2), (256, 2, 8), (65536, 2, 16), (243, 3, 5), (59049, 3, 10),
+    (49, 7, 2), (63001, 251, 2), (65521, 65521, 1))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from(sorted(WIDE_FIELDS)),
+       picks=st.lists(st.one_of(st.sampled_from([0, -1]), st.integers(0, 65535)),
+                      min_size=1, max_size=40))
+@example(q=65536, picks=[-1] * 40)  # 16 lanes per coordinate, every digit 1
+@example(q=65521, picks=[-1] * 40)  # one 17-bit lane per coordinate, every digit p - 1
+@example(q=59049, picks=[0, -1] * 20)
+@example(q=63001, picks=[0, 1, -1, 251, 250])  # digit p - 1 in one lane and in both
+def test_walk_weighs_wide_coordinates(q, picks):
+    """_walk(1, 1) over one row g weighs g alone, at n - g.count(0), on
+    coordinates of up to 16 lanes and 32 bits; pick -1 is q - 1, whose
+    base-p digits are all p - 1."""
+    field = WIDE_FIELDS[q]
+    row = [x % q for x in picks]
+    hist = [0] * (len(row) + 1)
+    _walk(field, len(row), [row])(1, 1, hist)
+    expected = [0] * (len(row) + 1)
+    expected[len(row) - row.count(0)] = 1
+    assert hist == expected
 
 
 @st.composite
