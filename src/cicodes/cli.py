@@ -141,7 +141,10 @@ def _check_work(n, m, degrees, jobs, what, s=None):
     inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
     most min(n, cols) rows.  Each sum stops at its first excess; the entry
     sum runs first, so it bounds the degrees.  More degrees than
-    MAX_MATRIX_ENTRIES are refused at once; with n = 0 every sum is 0."""
+    MAX_MATRIX_ENTRIES are refused at once; with n = 0 every sum is 0.
+    For `hilbert` the jobs are one elimination of e_b per degree b = 0 ..
+    s+1, which `profile`'s product pass replaced and does not make; the
+    limits keep that measure so that no refusal, and no exit code, moves."""
     too_many = f"{what} would build more than {MAX_MATRIX_ENTRIES} evaluation-matrix entries"
     if degrees[MAX_MATRIX_ENTRIES:]:  # a slice: len() overflows on a huge range
         raise ValueError(too_many)
@@ -188,7 +191,7 @@ def cmd_cb(args) -> int:
 def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    degrees = range(setup.s + 2)  # profile's scan eliminates e_0 .. e_{s+1} on a CI
+    degrees = range(setup.s + 2)  # e_0 .. e_{s+1} on a CI, as _check_work counts them
     _check_work(setup.n, vf.m, degrees, ((setup.n, b) for b in degrees),
                 f"hilbert over degrees 0..{setup.s + 1}")
     prof = profile(setup.gamma)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .code import point_rows
 from .geometry import PointSet
-from .linalg import rank as matrix_rank
+from .linalg import insert, rank as matrix_rank
 from .poly import monomial_count
 
 
@@ -73,13 +73,24 @@ class CohomologyProfile:
 
 def profile(gamma: PointSet) -> CohomologyProfile:
     """Scan rank e_0, e_1, ... upward to the first full rank (by a = |Gamma| - 1
-    for distinct points): sigma + 2 eliminations give every rank.  Rank never
-    falls: over an extension of F_q (same rank) a linear form L misses every
-    point, none need exist over F_q, and L*f in I_Gamma forces f in I_Gamma."""
-    n, ranks = len(gamma), []
-    while len(ranks) < n - 1:
-        rk = rank_e(gamma, len(ranks))
-        if rk == n:
+    for distinct points) with one echelon basis carried from degree to degree.
+    rank e_a is the dimension of C_a, the column span of e_a in F_q^n.  At the
+    fixed point representatives each degree-(a+1) monomial is x_j times one of
+    degree a, so C_{a+1} is spanned by the pointwise products x_j * b over
+    j = 0..m and the basis rows b of C_a, starting from C_0 = <(1, ..., 1)>:
+    no monomial is evaluated.  A full rank stays full, since every point has
+    a nonzero coordinate x_j and so the products x_j * F_q^n span F_q^n."""
+    n, field, ranks, basis = len(gamma), gamma.field, [], []
+    mul, columns = field.mul, tuple(zip(*gamma))  # columns[j]: x_j at each point
+    insert(basis, [1] * n, field)
+    while len(basis) < n:
+        ranks.append(len(basis))
+        if len(ranks) == n - 1:
             break
-        ranks.append(rk)
+        rows, basis = [row for _, row in basis], []
+        for product in ([mul(x, y) for x, y in zip(xs, row)]
+                        for xs in columns for row in rows):
+            insert(basis, product, field)
+            if len(basis) == n:
+                break
     return CohomologyProfile(gamma, tuple(ranks))

@@ -530,8 +530,9 @@ def test_hilbert_rm3(write, capsys):
 
 @pytest.mark.parametrize("q", ["4096", "6561"])
 def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
-    """profile's scan over e_0 .. e_{s+1} on q + 1 points is refused before any
-    output.  A child process with a timeout keeps a hang from stalling the suite."""
+    """_check_work's count of e_0 .. e_{s+1} on q + 1 points refuses the run
+    before any output.  A child process with a timeout keeps a hang from
+    stalling the suite."""
     path = str(tmp_path / "variety.txt")
     assert main(["family", "rs", "--q", q, "--out", path]) == 0
     capsys.readouterr()
@@ -640,17 +641,21 @@ def test_hilbert_single_point(write, capsys):
     assert "sigma=-1" in out
 
 
-@pytest.mark.parametrize("family,eliminations", [
+@pytest.mark.parametrize("family,degrees", [
     (("rm", "--q", "7", "--m", "2"), 13), (("rm", "--q", "5", "--m", "2"), 9),
     (("hermitian", "--q", "3"), 9)])
 def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
-                                             family, eliminations):
-    """One hilbert run makes sigma + 2 ranks (e_0 .. e_{sigma+1}) and one RREF
-    (e_sigma's transpose), and a second run in the same process makes as many."""
+                                             family, degrees):
+    """One hilbert run carries one echelon basis through the degrees
+    0 .. sigma + 1 and builds no evaluation matrix there: no `matrix_rank` or
+    `point_rows` call, and at most 1 + (m+1) * (rank e_0 + ... + rank e_sigma)
+    inserts, one for (1, ..., 1) and one per product x_j * b.  The run makes
+    one RREF (e_sigma's transpose), and a second run in the same process
+    makes as many calls of each."""
     from cicodes import code, cohomology
     path = str(tmp_path / "ci.txt")
     assert main(["family", *family, "--out", path]) == 0
-    counts = {"rank": 0, "rref": 0}
+    counts = dict.fromkeys(("rank", "point_rows", "insert", "rref"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -658,18 +663,23 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cohomology, "matrix_rank",
-                        counted("rank", cohomology.matrix_rank))
-    monkeypatch.setattr(code, "rref", counted("rref", code.rref))
+    for module, name, key in ((cohomology, "matrix_rank", "rank"),
+                              (cohomology, "point_rows", "point_rows"),
+                              (cohomology, "insert", "insert"), (code, "rref", "rref")):
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
     capsys.readouterr()
-    outputs = []
+    outputs, inserts = [], []
     for _ in range(2):
         assert main(["hilbert", path]) == 0
         outputs.append(capsys.readouterr().out)
-        assert counts == {"rank": eliminations, "rref": 1}
-        counts.update(rank=0, rref=0)
+        inserts.append(counts["insert"])
+        assert counts == {"rank": 0, "point_rows": 0, "insert": inserts[0], "rref": 1}
+        counts.update(insert=0, rref=0)
     assert outputs[0] == outputs[1]
-    assert f"sigma={eliminations - 2}\n" in outputs[0]
+    assert f"sigma={degrees - 2}\n" in outputs[0]
+    # the table's rows a = 0 .. sigma, after its header and a = -1; every file is in P^2
+    ranks = [int(line.split()[2]) for line in outputs[0].splitlines()[2:degrees + 1]]
+    assert 0 < inserts[0] <= 1 + 3 * sum(ranks)
 
 
 def test_family_rm(write, capsys, tmp_path):

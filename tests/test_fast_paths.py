@@ -1,10 +1,10 @@
 """Differential checks against the straightforward definitions: the
 log-domain monomial kernel behind every evaluation, the upward sigma scan,
-the truncated profile, the one-elimination CB-scheme test, the CB sweep
-and the combination walks over incremental echelon bases, rank and RREF by
-row insertion, the one codeword walk against encoding each message, the
-minimum distance folded over it, and the Brouwer-Zimmermann search and
-column count against its weights."""
+the truncated profile and its product pass, the one-elimination CB-scheme
+test, the CB sweep and the combination walks over incremental echelon
+bases, rank and RREF by row insertion, the one codeword walk against
+encoding each message, the minimum distance folded over it, and the
+Brouwer-Zimmermann search and column count against its weights."""
 
 import random
 import sys
@@ -130,6 +130,8 @@ TWO_CONICS = [12, 15, 27, 30]  # (1, +-1, +-1), a (2,2) CI
 @example(q=5, picks=GRID_3X3)
 @example(q=5, picks=TWO_CONICS)
 @example(q=9, picks=list(range(10)))
+@example(q=4, picks=list(range(21)))  # all of P^2(F_4): no linear form misses it
+@example(q=5, picks=list(range(31)))  # all of P^2(F_5), likewise
 def test_fast_paths_match_reference(q, picks):
     space = PLANES[q]
     gamma = space.subset(i % len(space) for i in picks)
@@ -137,6 +139,26 @@ def test_fast_paths_match_reference(q, picks):
     assert sigma(gamma) == prof.sigma
     assert (prof.table, prof.sigma) == profile_reference(gamma)
     assert is_cb_scheme(gamma, prof.sigma) == is_cb_scheme_reference(gamma)
+
+
+SPACES = {(m, q): enumerate_projective(m, field_new(p, e))
+          for m, q, p, e in ((1, 7, 7, 1), (1, 8, 2, 3), (3, 2, 2, 1), (3, 3, 3, 1))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(mq=st.sampled_from(sorted(SPACES)),
+       picks=st.lists(st.integers(0, 39), unique=True, max_size=20))
+@example(mq=(1, 8), picks=list(range(9)))  # all of P^1(F_8)
+@example(mq=(3, 2), picks=list(range(15)))  # all of P^3(F_2)
+@example(mq=(3, 3), picks=[])
+def test_profile_ranks_match_each_degree_off_the_plane(mq, picks):
+    """profile's ranks against one elimination of e_a per degree, through
+    sigma + 1, on point subsets of P^1 and P^3."""
+    space = SPACES[mq]
+    gamma = space.subset(i % len(space) for i in picks)
+    prof = profile(gamma)
+    degrees = range(-1, prof.sigma + 2)
+    assert [prof.rank(a) for a in degrees] == [rank_e(gamma, a) for a in degrees]
 
 
 def test_examples_cover_both_verdicts():
