@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from copy import copy
-from dataclasses import dataclass
 from itertools import tee
 from math import comb
 
@@ -36,14 +35,10 @@ def point_rows(gamma: PointSet, a: int):
     return (_monomial_row(pt, monomials, gamma.field) for pt in gamma)
 
 
-@dataclass(frozen=True)
-class EvalMatrix:
+class EvalMatrix(namedtuple("EvalMatrix", "rows degree m field")):
     """Matrix of e_a: rows indexed by points, columns by degree-a monomials."""
 
-    rows: tuple
-    degree: int
-    m: int
-    field: object
+    __slots__ = ()
 
     @property
     def ncols(self):
@@ -85,13 +80,10 @@ def choose_f0(gamma: PointSet, a: int) -> Polynomial:
         f"after {F0_TRIALS} trials; pass f0 explicitly")
 
 
-@dataclass(frozen=True)
-class EvalCode:
+class EvalCode(namedtuple("EvalCode", "gamma degree gen")):
     """The code C(Gamma)_a with its reduced row-echelon generator matrix."""
 
-    gamma: PointSet
-    degree: int
-    gen: tuple
+    __slots__ = ()
 
     @property
     def field(self):
@@ -124,10 +116,7 @@ def build_code(gamma: PointSet, a: int, f0: Polynomial = None) -> EvalCode:
     return EvalCode(gamma, a, tuple(tuple(row) for row in gen))
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    d: int
-    codewords_scanned: int
+DistanceResult = namedtuple("DistanceResult", "d codewords_scanned")
 
 
 def check_word_cap(q: int, k: int, cap: int) -> None:

@@ -7,7 +7,7 @@ degree s - a usable across the whole degree window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .code import point_rows
 from .geometry import PointSet
@@ -45,10 +45,10 @@ def sigma(gamma: PointSet) -> int:
     return profile(gamma).sigma
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
-    gamma: PointSet
-    ranks: tuple  # rank e_0 .. e_sigma, each below |Gamma|
+class CohomologyProfile(namedtuple("CohomologyProfile", "gamma ranks")):
+    """Gamma with ranks = (rank e_0, ..., rank e_sigma), each below |Gamma|."""
+
+    __slots__ = ()
 
     @property
     def sigma(self):

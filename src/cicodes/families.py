@@ -3,21 +3,18 @@ complete intersections, and the Hermitian-curve construction over F_{q^2}."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegreeOutOfRangeError
 from .geometry import check_space
-from .gf import Field, _prime_power, field_new
+from .gf import _prime_power, field_new
 from .poly import parse
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str  # extended_rs | reed_muller | hermitian
-    q_base: int
-    m: int
-    degrees: tuple
-    field: Field
+class FamilySpec(namedtuple("FamilySpec", "kind q_base m degrees field")):
+    """kind is extended_rs, reed_muller or hermitian."""
+
+    __slots__ = ()
 
     @property
     def s(self):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -15,13 +15,32 @@ MAX_POINTS = 10 ** 7
 MAX_CUT_WORK = 10 ** 6
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """Ordered distinct normalized points of P^m."""
+    """Ordered distinct normalized points of P^m, immutable.  Not a tuple:
+    its length, iteration and membership are those of its points."""
 
-    points: tuple
-    m: int
-    field: Field
+    __slots__ = ("points", "m", "field")
+
+    def __init__(self, points: tuple, m: int, field: Field):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete PointSet.{name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not PointSet:
+            return NotImplemented
+        return (self.points, self.m, self.field) == (other.points, other.m, other.field)
+
+    def __hash__(self):
+        return hash((self.points, self.m, self.field))
+
+    def __repr__(self):
+        return f"PointSet(points={self.points!r}, m={self.m!r}, field={self.field!r})"
 
     def __len__(self):
         return len(self.points)
@@ -89,13 +108,8 @@ def variety_points(polys, m: int, field: Field) -> PointSet:
     return PointSet(points, m, field)
 
 
-@dataclass(frozen=True)
-class CIValidation:
-    degrees: tuple
-    expected: int
-    found: int
-    split: bool
-    smooth: bool
+class CIValidation(namedtuple("CIValidation", "degrees expected found split smooth")):
+    __slots__ = ()
 
     def line(self):
         return (f"expected={self.expected} found={self.found} "

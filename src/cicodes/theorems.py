@@ -10,7 +10,7 @@ this reduced setting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .code import (DEFAULT_CAP, brouwer_zimmermann, brouwer_zimmermann_cost, build_code,
                    check_word_cap, column_distance, evaluation_matrix, min_distance)
@@ -21,13 +21,10 @@ from .geometry import PointSet, validate_ci, variety_points
 from .linalg import insert, rank
 
 
-@dataclass(frozen=True)
-class CISetup:
+class CISetup(namedtuple("CISetup", "gamma degrees s")):
     """A validated split smooth complete intersection with its pivot degree s."""
 
-    gamma: PointSet
-    degrees: tuple
-    s: int
+    __slots__ = ()
 
     @property
     def n(self):
@@ -56,13 +53,10 @@ def cb_identity(setup: CISetup, a: int, gamma_prime: PointSet):
     return h0(gamma_prime, a) - h0(setup.gamma, a), h1(gamma_second, setup.s - a)
 
 
-@dataclass(frozen=True)
-class CBReport:
-    degree: int
-    splits_checked: int
-    violations: tuple  # (subset mask, lhs, rhs)
-    exhaustive: bool
-    seed: int
+class CBReport(namedtuple("CBReport", "degree splits_checked violations exhaustive seed")):
+    """violations holds one (subset mask, lhs, rhs) per failing split."""
+
+    __slots__ = ()
 
     def lines(self):
         head = (f"a={self.degree} splits={self.splits_checked} "
@@ -186,17 +180,11 @@ def hansen_bound(setup: CISetup, a: int) -> int:
     return setup.s - a + 2
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    degree: int
-    n: int
-    k: int
-    d_exact: int
-    bound: int
-    singleton: int
-    mds: bool
-    mds_sufficient: bool
-    gen: tuple  # the code's RREF generator rows
+class BoundReport(namedtuple("BoundReport",
+                               "degree n k d_exact bound singleton mds mds_sufficient gen")):
+    """gen holds the code's RREF generator rows."""
+
+    __slots__ = ()
 
     def line(self):
         return (f"n={self.n} k={self.k} d={self.d_exact} bound={self.bound} "

@@ -11,6 +11,19 @@ from pathlib import Path
 import pytest
 
 import cicodes
+from cicodes import (
+    BoundReport,
+    CBReport,
+    CISetup,
+    CIValidation,
+    CohomologyProfile,
+    DistanceResult,
+    EvalCode,
+    EvalMatrix,
+    FamilySpec,
+    PointSet,
+    field_new,
+)
 from cicodes.cli import main
 
 TWO_CONIC = """\
@@ -831,3 +844,58 @@ def test_cb_golden(capsys, tmp_path, name, family, args):
     data = out.encode()
     assert (hashlib.sha256(data).hexdigest(), len(data)) == (
         expected["sha256"], expected["bytes"])
+
+
+def test_cli_import_loads_no_dataclasses():
+    """`import cicodes.cli` loads neither `dataclasses` nor the `inspect`
+    chain it pulls in, which would cost every CLI process most of the
+    package's own import time.  `-S` keeps the host's .pth files out."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    script = ("import sys, cicodes.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+F5 = field_new(5, 1)
+POINTS = ((1, 0, 0), (1, 1, 0))
+GAMMA = PointSet(POINTS, 2, F5)
+RECORDS = [  # (type, its first field, values of its fields)
+    (EvalMatrix, "rows", (((1,), (1,)), 0, 2, F5)),
+    (EvalCode, "gamma", (GAMMA, 0, ((1, 1),))),
+    (DistanceResult, "d", (2, 1)),
+    (CIValidation, "degrees", ((1, 2), 2, 2, True, True)),
+    (CohomologyProfile, "gamma", (GAMMA, (1,))),
+    (FamilySpec, "kind", ("extended_rs", 5, 2, (1, 5), F5)),
+    (CISetup, "gamma", (GAMMA, (1, 2), 0)),
+    (CBReport, "degree", (0, 4, (), True, 0)),
+    (BoundReport, "degree", (1, 2, 1, 2, 2, 2, True, True, ((1, 1),))),
+    (PointSet, "points", (POINTS, 2, F5)),
+]
+
+
+@pytest.mark.parametrize("cls, first, values", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_result_records_frozen_and_equal_by_fields(cls, first, values):
+    """Each result record refuses assignment, to a field or a new name, and
+    equals (and hashes as) a second record of the same values, but not one
+    whose last field differs."""
+    record = cls(*values)
+    assert getattr(record, first) == values[0]
+    for name in (first, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    twin = cls(*values)
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    assert cls(*values[:-1], "other") != record
+
+
+def test_point_set_is_its_points():
+    """A PointSet's length, iteration and membership are its points', not
+    its fields'; equal point sets hash equally."""
+    assert len(GAMMA) == 2 and tuple(GAMMA) == POINTS
+    assert POINTS[1] in GAMMA and F5 not in GAMMA and 2 not in GAMMA
+    assert GAMMA != (POINTS, 2, F5)
+    assert GAMMA == GAMMA.subset([0, 1]) and hash(GAMMA) == hash(GAMMA.subset([1, 0]))
+    assert GAMMA.subset([0]) != GAMMA
