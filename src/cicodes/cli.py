@@ -14,10 +14,10 @@ had already found a violation and 0 otherwise.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from . import families
 from .code import DEFAULT_CAP
@@ -141,10 +141,9 @@ def _check_work(n, m, degrees, jobs, what, s=None):
     inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
     most min(n, cols) rows.  Each sum stops at its first excess; the entry
     sum runs first, so it bounds the degrees.  More degrees than
-    MAX_MATRIX_ENTRIES are refused at once; with n = 0 every sum is 0.
-    For `hilbert` the jobs are one elimination of e_b per degree b = 0 ..
-    s+1, which `profile`'s product pass replaced and does not make; the
-    limits keep that measure so that no refusal, and no exit code, moves."""
+    MAX_MATRIX_ENTRIES are refused at once; with n = 0 every sum is 0.  For
+    `hilbert`, and e_s in `cb`, the sums keep the point rows and eliminations
+    that the product pass replaced, so that no refusal or exit code moves."""
     too_many = f"{what} would build more than {MAX_MATRIX_ENTRIES} evaluation-matrix entries"
     if degrees[MAX_MATRIX_ENTRIES:]:  # a slice: len() overflows on a huge range
         raise ValueError(too_many)
@@ -172,9 +171,9 @@ def cmd_cb(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    # degree a builds e_a, e_{s-a} and, if 0 <= a <= s, e_s, whose n rows the
-    # certificate eliminates; a walk inserts 2^(n+1) rows over all 2^n splits,
-    # else at most n per split, each into the basis of the wider of e_a, e_{s-a}
+    # degree a builds e_a and e_{s-a}, and counts e_s's n rows if 0 <= a <= s;
+    # a walk inserts 2^(n+1) rows over all 2^n splits, else at most n per
+    # split, each into the basis of the wider of e_a, e_{s-a}
     n, s, splits = setup.n, setup.s, cb_split_count(setup.n, args.budget)
     inserts = 2 * splits if splits == 1 << n else n * splits
     jobs = (job for a in degrees for job in ((n * (0 <= a <= s), s), (inserts, max(a, s - a))))
@@ -211,8 +210,7 @@ def cmd_family(args) -> int:
     elif args.kind == "hermitian":
         polys, spec = families.hermitian_ci(args.q)
     else:
-        print(f"error: unknown family kind {args.kind!r}", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"unknown family kind {args.kind!r}")
     if args.m not in (None, spec.m):  # hermitian lies in P^2 whatever --m says
         raise ValueError(f"the {args.kind} family lies in P^{spec.m}: "
                          f"--m must be {spec.m}, got {args.m}")
@@ -233,55 +231,71 @@ def cmd_family(args) -> int:
     return EXIT_OK
 
 
+REQUIRED = object()
+COMMANDS = {  # command: (handler, positional, {option: (type, default)}); bool: a flag
+    "points": (cmd_points, "file", {"--require-ci": (bool, False)}),
+    "analyze": (cmd_analyze, "file", {
+        "--degree": (int, REQUIRED), "--cap": (int, DEFAULT_CAP), "--emit-matrix": (bool, False),
+        "--no-range-check": (bool, False), "--threads": (int, 1)}),  # --threads is ignored
+    "cb": (cmd_cb, "file", {
+        "--degrees": (str, REQUIRED), "--budget": (int, 10 ** 5), "--seed": (int, 0)}),
+    "hilbert": (cmd_hilbert, "file", {}),
+    "family": (cmd_family, "kind", {  # kind: rs | rm | hermitian
+        "--q": (int, REQUIRED), "--m": (int, None), "--out": (str, None)}),
+}
+
+
+def cmd_help(args) -> int:
+    for command, (_, positional, options) in COMMANDS.items():
+        words = [command, positional.upper()]
+        for name, (kind, default) in options.items():
+            word = name if kind is bool else f"{name} {name[2:].upper()}"
+            words.append(word if default is REQUIRED else f"[{word}]")
+        print("usage: cicodes", *words)
+    return EXIT_OK
+
+
+def parse_args(argv):
+    """argv as `command`, its handler `func`, its positional and its options
+    (dashes as underscores); a value is the text after `=` or the next word,
+    read by `read_int` if an int.  Misuse raises a one-line ValueError."""
+    if {"-h", "--help"} & set(argv):
+        return SimpleNamespace(command=None, func=cmd_help)
+    command, words = (argv or [None])[0], iter(argv[1:])
+    if command not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    func, positional, options = COMMANDS[command]
+    values = {positional: REQUIRED, **{name: default for name, (_, default) in options.items()}}
+    for word in words:
+        name, eq, text = word.partition("=")
+        kind = options.get(name, (None,))[0]
+        if values[positional] is REQUIRED and not word.startswith("-"):
+            values[positional] = word
+        elif kind is None or eq and kind is bool:
+            raise ValueError(f"{command}: unrecognized argument {word!r}")
+        elif kind is bool:
+            values[name] = True
+        else:
+            text = text if eq else next(words, None)
+            if text is None:
+                raise ValueError(f"{name} needs a value")
+            values[name] = read_int(name, text) if kind is int else text
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise ValueError(f"{command}: missing {missing[0]}")
+    return SimpleNamespace(command=command, func=func, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cicodes",
-        description="Evaluation codes on complete intersections: points, "
-                    "parameters, Cayley-Bacharach checks, Hilbert tables.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("points", help="enumerate the point set and validate the CI")
-    p.add_argument("file")
-    p.add_argument("--require-ci", action="store_true")
-    p.set_defaults(func=cmd_points)
-
-    p = sub.add_parser("analyze", help="code parameters and distance bound at one degree")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--emit-matrix", action="store_true")
-    p.add_argument("--no-range-check", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility and ignored; the search "
-                        "is single-threaded")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("cb", help="verify the Cayley-Bacharach identity over subset splits")
-    p.add_argument("file")
-    p.add_argument("--degrees", required=True, help="single degree or a1..a2")
-    p.add_argument("--budget", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_cb)
-
-    p = sub.add_parser("hilbert", help="cohomology table, symmetry and CB-scheme flags")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("family", help="emit a variety file for a named family")
-    p.add_argument("kind", help="rs | rm | hermitian")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int)  # None: 1 for rs and rm, 2 for hermitian
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_family)
-
-    return parser
+    """For callers that parse without running: `.parse_args(argv)`."""
+    return SimpleNamespace(parse_args=parse_args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.code = EXIT_OK  # the exit so far, if the reader leaves before the command ends
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args.code = EXIT_OK  # the exit so far, if the reader leaves before the command ends
         args.code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at shutdown
     except BrokenPipeError:  # the reader left early, as `| head` does

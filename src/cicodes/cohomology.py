@@ -71,26 +71,31 @@ class CohomologyProfile(namedtuple("CohomologyProfile", "gamma ranks")):
         return ["    a  dimRa   rank     h0     h1", *rows, f"sigma={self.sigma}"]
 
 
-def profile(gamma: PointSet) -> CohomologyProfile:
-    """Scan rank e_0, e_1, ... upward to the first full rank (by a = |Gamma| - 1
-    for distinct points) with one echelon basis carried from degree to degree.
-    rank e_a is the dimension of C_a, the column span of e_a in F_q^n.  At the
-    fixed point representatives each degree-(a+1) monomial is x_j times one of
-    degree a, so C_{a+1} is spanned by the pointwise products x_j * b over
-    j = 0..m and the basis rows b of C_a, starting from C_0 = <(1, ..., 1)>:
-    no monomial is evaluated.  A full rank stays full, since every point has
-    a nonzero coordinate x_j and so the products x_j * F_q^n span F_q^n."""
-    n, field, ranks, basis = len(gamma), gamma.field, [], []
+def _bases(gamma: PointSet):
+    """Yield the echelon basis of C_a, the column span of e_a in F_q^n (it may
+    grow in place once yielded), for a = 0, 1, ... below full rank (a < n - 1
+    on distinct points).  As each degree-(a+1) monomial is x_j times one of
+    degree a, C_{a+1} = x_0*C_a + sum_{j>=1} x_j*N_a, N_a the rows that entered
+    at degree a, N_0 = {(1, ..., 1)}: at most 1 + m*(n-1) inserts if x_0 = 1."""
+    n, field, basis = len(gamma), gamma.field, []
     mul, columns = field.mul, tuple(zip(*gamma))  # columns[j]: x_j at each point
-    insert(basis, [1] * n, field)
-    while len(basis) < n:
-        ranks.append(len(basis))
-        if len(ranks) == n - 1:
-            break
-        rows, basis = [row for _, row in basis], []
-        for product in ([mul(x, y) for x, y in zip(xs, row)]
-                        for xs in columns for row in rows):
+    products = [[1] * n]
+    for _ in range(n - 1):
+        size = len(basis)
+        for product in products:
             insert(basis, product, field)
             if len(basis) == n:
-                break
-    return CohomologyProfile(gamma, tuple(ranks))
+                return
+        yield basis
+        new = [row for _, row in basis[size:]]
+        if any(x != 1 for x in columns[0]):  # restart from x_0 * (basis of C_a)
+            old, basis = basis, []
+            for _, row in old:
+                insert(basis, [mul(x, y) for x, y in zip(columns[0], row)], field)
+        products = ([mul(x, y) for x, y in zip(xs, row)]
+                    for xs in columns[1:] for row in new)
+
+
+def profile(gamma: PointSet) -> CohomologyProfile:
+    """rank e_0, e_1, ... up to the first full rank, from one `_bases` pass."""
+    return CohomologyProfile(gamma, tuple(len(basis) for basis in _bases(gamma)))

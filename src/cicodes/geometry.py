@@ -9,7 +9,7 @@ from math import prod
 from .errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
 from .gf import Field
 from .linalg import rank as matrix_rank
-from .poly import MAX_DIGITS, Polynomial
+from .poly import MAX_DIGITS
 
 MAX_POINTS = 10 ** 7
 MAX_CUT_WORK = 10 ** 6

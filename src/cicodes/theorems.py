@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import islice
 
 from .code import (DEFAULT_CAP, brouwer_zimmermann, brouwer_zimmermann_cost, build_code,
                    check_word_cap, column_distance, evaluation_matrix, min_distance)
-from .cohomology import CohomologyProfile, h0, h1, rank_e
+from .cohomology import CohomologyProfile, _bases, h0, h1, rank_e
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
 from .geometry import PointSet, validate_ci, variety_points
@@ -75,13 +76,23 @@ def cb_split_count(n: int, budget: int) -> int:
 
 def _relations(gamma: PointSet, a: int):
     """How many relations the rows of e_a have, and whether every point lies
-    in some relation's support, read off the RREF generator of C(Gamma)_a,
-    the RREF of e_a's transpose: one relation per free column f, 1 at f and
-    -row[f] at each row's pivot (its leading 1).  So a free column is in a
-    support, and a pivot column is iff its row is nonzero in a free column."""
-    gen = build_code(gamma, a).gen
-    free = set(range(len(gamma))) - {row.index(1) for row in gen}
-    return len(free), all(any(row[c] for c in free) for row in gen)
+    in some relation's support, from the RREF generator of C(Gamma)_a: one
+    relation per free column f, 1 at f and -row[f] at each row's pivot, so
+    a pivot is in a support iff its row is nonzero in a free column.  Only
+    those columns are reduced, from `_bases`' basis of C_a (none for a < 0,
+    F_q^n past the pass): a row less row[d] times each later pivot d's."""
+    basis = [] if a < 0 else next(islice(_bases(gamma), a, None), None)
+    if basis is None:
+        return 0, not gamma
+    field, reduced = gamma.field, {}  # pivot: its RREF row at the free columns
+    free = sorted(set(range(len(gamma))) - {c for c, _ in basis})
+    for c, row in sorted(basis, reverse=True):
+        entries = [row[f] for f in free]
+        for d, done in reduced.items():
+            if row[d]:
+                entries = [field.sub(e, field.mul(row[d], y)) for e, y in zip(entries, done)]
+        reduced[c] = entries
+    return len(free), all(map(any, reduced.values()))
 
 
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,

@@ -22,6 +22,7 @@ from cicodes import (
     EvalMatrix,
     FamilySpec,
     PointSet,
+    ci_setup,
     field_new,
 )
 from cicodes.cli import main
@@ -659,16 +660,20 @@ def test_hilbert_single_point(write, capsys):
     (("hermitian", "--q", "3"), 9)])
 def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
                                              family, degrees):
-    """One hilbert run carries one echelon basis through the degrees
-    0 .. sigma + 1 and builds no evaluation matrix there: no `matrix_rank` or
-    `point_rows` call, and at most 1 + (m+1) * (rank e_0 + ... + rank e_sigma)
-    inserts, one for (1, ..., 1) and one per product x_j * b.  The run makes
-    one RREF (e_sigma's transpose), and a second run in the same process
-    makes as many calls of each."""
-    from cicodes import code, cohomology
+    """One hilbert run builds no evaluation matrix and no code: no
+    `matrix_rank`, `point_rows`, `build_code` or `code.rref` call.  Its
+    product pass grows C_{a+1} from the rows that entered C_a, so `profile`
+    makes at most 1 + m * (n - 1) inserts on these sets, where x_0 = 1 at
+    every point; the CB-scheme test runs the pass again, to sigma, and a
+    second run in the same process makes as many calls of each."""
+    from cicodes import code, cohomology, theorems
+    from cicodes.cli import load_variety_file
     path = str(tmp_path / "ci.txt")
     assert main(["family", *family, "--out", path]) == 0
-    counts = dict.fromkeys(("rank", "point_rows", "insert", "rref"), 0)
+    vf = load_variety_file(path)
+    gamma = ci_setup(vf.polys, vf.m, vf.field).gamma
+    bound = 1 + vf.m * (len(gamma) - 1)  # 97 on RM(7,2)
+    counts = dict.fromkeys(("rank", "point_rows", "build_code", "insert", "rref"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -678,21 +683,26 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
 
     for module, name, key in ((cohomology, "matrix_rank", "rank"),
                               (cohomology, "point_rows", "point_rows"),
+                              (code, "point_rows", "point_rows"),
+                              (theorems, "build_code", "build_code"),
                               (cohomology, "insert", "insert"), (code, "rref", "rref")):
         monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    assert all(pt[0] == 1 for pt in gamma)
+    assert cohomology.profile(gamma).sigma == degrees - 2
+    assert 0 < counts["insert"] <= bound
+    counts["insert"] = 0
     capsys.readouterr()
     outputs, inserts = [], []
     for _ in range(2):
         assert main(["hilbert", path]) == 0
         outputs.append(capsys.readouterr().out)
         inserts.append(counts["insert"])
-        assert counts == {"rank": 0, "point_rows": 0, "insert": inserts[0], "rref": 1}
-        counts.update(insert=0, rref=0)
+        assert counts == {"rank": 0, "point_rows": 0, "build_code": 0,
+                          "insert": inserts[0], "rref": 0}
+        counts["insert"] = 0
     assert outputs[0] == outputs[1]
     assert f"sigma={degrees - 2}\n" in outputs[0]
-    # the table's rows a = 0 .. sigma, after its header and a = -1; every file is in P^2
-    ranks = [int(line.split()[2]) for line in outputs[0].splitlines()[2:degrees + 1]]
-    assert 0 < inserts[0] <= 1 + 3 * sum(ranks)
+    assert inserts[0] <= 2 * bound
 
 
 def test_family_rm(write, capsys, tmp_path):
@@ -846,13 +856,71 @@ def test_cb_golden(capsys, tmp_path, name, family, args):
         expected["sha256"], expected["bytes"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{f}", "--degree", "x"], ["cb", "{f}"], ["bogus", "{f}"],
+    ["hilbert", "{f}", "--frobnicate"], ["points", "{f}", "--require-ci=1"],
+    ["analyze", "{f}", "--deg", "1"], ["hilbert", "{f}", "{f}"], ["analyze", "{f}", "--degree"],
+    []])
+def test_usage_error_is_one_line_exit_2(write, capsys, argv):
+    """A bad value, a missing option or positional, an unknown command or
+    option, a value given to a flag and an abbreviated option each exit 2
+    with one `error:` line on stderr and nothing on stdout."""
+    path = write(TWO_CONIC)
+    code = main([word.replace("{f}", path) for word in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_negative_degree_range_after_a_space(write, capsys):
+    """`--degrees -3..-1` is read as the value of --degrees, as
+    `--degrees=-3..-1` is, and reaches the same checks."""
+    path = write(TWO_CONIC)
+    results = []
+    for args in (["--degrees", "-3..-1"], ["--degrees=-3..-1"]):
+        code = main(["cb", path, *args])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1].startswith("seed=0\na=-3 ")
+    code = main(["cb", path, "--degrees", "-1..-3"])
+    assert (code, capsys.readouterr().err) == (2, "error: empty degree range '-1..-3'\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_exit_0(capsys, flag):
+    """-h, also after a command, prints one usage line per command on stdout."""
+    for argv in ([flag], ["analyze", flag]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert [line.split()[2] for line in lines] == ["points", "analyze", "cb", "hilbert",
+                                                        "family"]
+        assert all(line.startswith("usage: cicodes ") for line in lines)
+        assert "cicodes analyze FILE --degree DEGREE [--cap CAP]" in captured.out
+
+
+def test_build_parser_still_parses():
+    """`build_parser().parse_args(argv)` returns the namespace the commands
+    read, with each option's default."""
+    from cicodes.cli import DEFAULT_CAP, build_parser
+    args = build_parser().parse_args(["cb", "f.txt", "--degrees", "0..2", "--seed=7"])
+    assert (args.command, args.file, args.degrees, args.budget, args.seed) == (
+        "cb", "f.txt", "0..2", 10 ** 5, 7)
+    args = build_parser().parse_args(["analyze", "--no-range-check", "f.txt", "--degree", "3"])
+    assert (args.degree, args.cap, args.no_range_check, args.emit_matrix, args.threads) == (
+        3, DEFAULT_CAP, True, False, 1)
+
+
 def test_cli_import_loads_no_dataclasses():
     """`import cicodes.cli` loads neither `dataclasses` nor the `inspect`
     chain it pulls in, which would cost every CLI process most of the
-    package's own import time.  `-S` keeps the host's .pth files out."""
+    package's own import time, nor `argparse`.  `-S` keeps the host's .pth
+    files out."""
     env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
     script = ("import sys, cicodes.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+              "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,8 @@
 """Differential checks against the straightforward definitions: the
 log-domain monomial kernel behind every evaluation, the upward sigma scan,
-the truncated profile and its product pass, the one-elimination CB-scheme
-test, the CB sweep and the combination walks over incremental echelon
-bases, rank and RREF by row insertion, the one codeword walk against
+the truncated profile and its product pass, the CB-scheme relations read
+from that pass, the CB sweep and the combination walks over incremental
+echelon bases, rank and RREF by row insertion, the one codeword walk against
 encoding each message, the minimum distance folded over it, and the
 Brouwer-Zimmermann search and column count against its weights."""
 
@@ -159,6 +159,32 @@ def test_profile_ranks_match_each_degree_off_the_plane(mq, picks):
     prof = profile(gamma)
     degrees = range(-1, prof.sigma + 2)
     assert [prof.rank(a) for a in degrees] == [rank_e(gamma, a) for a in degrees]
+
+
+def relations_reference(gamma, a):
+    """`theorems._relations` read off the code's own RREF generator."""
+    gen = build_code(gamma, a).gen
+    free = set(range(len(gamma))) - {row.index(1) for row in gen}
+    return len(free), all(any(row[c] for c in free) for row in gen)
+
+
+SUBSET_SPACES = {**{(2, q): plane for q, plane in PLANES.items()}, **SPACES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mq=st.sampled_from(sorted(SUBSET_SPACES)),
+       picks=st.lists(st.integers(0, 90), unique=True, max_size=16))
+@example(mq=(2, 4), picks=list(range(21)))  # all of P^2(F_4)
+@example(mq=(2, 5), picks=LINE_AT_INFINITY)  # x_0 = 0 at every point
+@example(mq=(1, 8), picks=list(range(9)))  # all of P^1(F_8)
+def test_relations_from_the_pass_match_the_code(mq, picks):
+    """The relations of e_a read from the product pass's basis of C_a against
+    those read from `build_code(gamma, a).gen`, at every degree -2..sigma+2:
+    below 0, through the pass, and past it, where C_a is all of F_q^n."""
+    space = SUBSET_SPACES[mq]
+    gamma = space.subset(i % len(space) for i in picks)
+    for a in range(-2, profile(gamma).sigma + 3):
+        assert theorems._relations(gamma, a) == relations_reference(gamma, a)
 
 
 def test_examples_cover_both_verdicts():

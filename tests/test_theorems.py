@@ -135,8 +135,9 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
     """verify_cb_all, its split walk and verify_projection_injectivity rank
     the point rows they already built: on RM(4,2) (16 points, s = 5) at a = 2,
     the walk builds e_3's and e_2's 16 rows each, the certificate that
-    replaces it those and e_5's 16, and the injectivity check e_2's 16, where
-    ranking them again through rank_e built 56 and 26."""
+    replaces it those too and none of e_5's, whose relation it reads from the
+    product pass, and the injectivity check e_2's 16, where ranking them
+    again through rank_e built 56 and 26."""
     from cicodes import code
     from cicodes.linalg import rank
     polys, spec = reed_muller_ci(4, 2)
@@ -155,7 +156,7 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
     assert len(built) == 32
     built.clear()
     assert verify_cb_all(setup, 2, budget=1).violations == ()
-    assert len(built) == len(set(built)) == 48  # C(b+2, 2) = 10, 6 and 21 columns
+    assert len(built) == len(set(built)) == 32  # C(b+2, 2) = 10 and 6 columns
     built.clear()
     assert verify_projection_injectivity(setup, 2)
     assert len(built) == 16
