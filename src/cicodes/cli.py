@@ -171,9 +171,9 @@ def cmd_cb(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    # degree a builds e_a and e_{s-a}, and counts e_s's n rows if 0 <= a <= s;
-    # a walk inserts 2^(n+1) rows over all 2^n splits, else at most n per
-    # split, each into the basis of the wider of e_a, e_{s-a}
+    # counts per degree a: e_a, e_{s-a}, e_s's n rows if 0 <= a <= s, and a walk's
+    # 2^(n+1) inserts over all 2^n splits, else n per split, into the wider basis;
+    # only a walk builds e_a and e_{s-a}, none e_s: kept so no exit code moves
     n, s, splits = setup.n, setup.s, cb_split_count(setup.n, args.budget)
     inserts = 2 * splits if splits == 1 << n else n * splits
     jobs = (job for a in degrees for job in ((n * (0 <= a <= s), s), (inserts, max(a, s - a))))

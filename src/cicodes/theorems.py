@@ -74,44 +74,23 @@ def cb_split_count(n: int, budget: int) -> int:
     return total if total <= budget else min(total, max(budget, 2 * n + 2))
 
 
-def _relations(gamma: PointSet, a: int):
-    """How many relations the rows of e_a have, and whether every point lies
-    in some relation's support, from the RREF generator of C(Gamma)_a: one
-    relation per free column f, 1 at f and -row[f] at each row's pivot, so
-    a pivot is in a support iff its row is nonzero in a free column.  Only
-    those columns are reduced, from `_bases`' basis of C_a (none for a < 0,
-    F_q^n past the pass): a row less row[d] times each later pivot d's."""
-    basis = [] if a < 0 else next(islice(_bases(gamma), a, None), None)
-    if basis is None:
-        return 0, not gamma
-    field, reduced = gamma.field, {}  # pivot: its RREF row at the free columns
-    free = sorted(set(range(len(gamma))) - {c for c, _ in basis})
-    for c, row in sorted(basis, reverse=True):
-        entries = [row[f] for f in free]
-        for d, done in reduced.items():
-            if row[d]:
-                entries = [field.sub(e, field.mul(row[d], y)) for e, y in zip(entries, done)]
-        reduced[c] = entries
-    return len(free), all(map(any, reduced.values()))
-
-
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
                   seed: int = 0) -> CBReport:
     """Check the identity over all subset splits, or a seeded sample when 2^n
     exceeds the budget (always sizes 0, 1, n-1, n).  Every split holds, with no
-    walk, if rank e_a + rank e_{s-a} = n on Gamma and, for 0 <= a <= s, e_s's
-    one relation lambda has no zero entry: R_s = R_a R_{s-a}, so e_a^T diag(lambda)
-    spans e_{s-a}'s left kernel (outside [0, s] one map is 0, the other injective)."""
-    n, s, field = setup.n, setup.s, setup.gamma.field
-    rows = (evaluation_matrix(setup.gamma, s - a).rows,  # bit clear
-            evaluation_matrix(setup.gamma, a).rows)      # bit set
-    # the ranks on all of Gamma, which no subset's rank exceeds
-    caps = tuple(rank(r, field) for r in rows)
-    certified = sum(caps) == n
-    if certified and 0 <= a <= s:
-        certified = _relations(setup.gamma, s) == (1, True)
-    if certified:
+    walk, if rank e_a + rank e_{s-a} = n and, for 0 <= a <= s, rank e_s = n - 1
+    (so s = sigma: ranks of points rise strictly to n) and e_s's one relation
+    lambda has no zero entry (`is_cb_scheme`): R_s = R_a R_{s-a}, so e_a^T
+    diag(lambda) spans e_{s-a}'s left kernel (outside [0, s] one map is 0, the
+    other injective).  Only a degree that fails this builds point rows."""
+    n, s, gamma = setup.n, setup.s, setup.gamma
+    top = max(a, s - a, s)  # `profile`'s pass, stopped after the top degree read
+    prof = CohomologyProfile(gamma, tuple(islice(map(len, _bases(gamma)), top + 1)))
+    caps = (prof.rank(s - a), prof.rank(a))  # on all of Gamma, which no subset exceeds
+    if sum(caps) == n and (not 0 <= a <= s or prof.rank(s) == n - 1
+                           and is_cb_scheme(gamma, s)):
         return CBReport(a, cb_split_count(n, budget), (), 1 << n <= budget, seed)
+    rows = tuple(evaluation_matrix(gamma, b).rows for b in (s - a, a))  # bit clear, set
     return _walk_splits(setup, a, budget, seed, rows, caps)
 
 
@@ -246,7 +225,20 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool
 
 def is_cb_scheme(gamma: PointSet, sg: int) -> bool:
     """Dropping any one point keeps h0 in degree sg = sigma(Gamma) unchanged:
-    every point lies in the support of a relation among the rows of e_sg
-    (`_relations`).  Vacuous when sg = -1."""
-    return _relations(gamma, sg)[1]
-
+    every point lies in the support of a relation among e_sg's rows.  In the
+    RREF generator of C(Gamma)_sg each free column f gives one, 1 at f and
+    -row[f] at each row's pivot, so a pivot is in a support iff its row is
+    nonzero at a free column.  `_bases` gives C_sg (none for sg < 0: vacuous;
+    F_q^n past the pass); its free columns alone are reduced, last pivot first."""
+    basis = [] if sg < 0 else next(islice(_bases(gamma), sg, None), None)
+    if basis is None:
+        return not gamma
+    field, reduced = gamma.field, {}  # pivot: its RREF row at the free columns
+    free = sorted(set(range(len(gamma))) - {c for c, _ in basis})
+    for c, row in sorted(basis, reverse=True):
+        entries = [row[f] for f in free]
+        for d, done in reduced.items():
+            if row[d]:
+                entries = [field.sub(e, field.mul(row[d], y)) for e, y in zip(entries, done)]
+        reduced[c] = entries
+    return all(map(any, reduced.values()))

@@ -10,6 +10,7 @@ import random
 import sys
 from itertools import combinations, product
 from math import comb
+from unittest.mock import patch
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -22,14 +23,18 @@ from cicodes import (
     brouwer_zimmermann,
     build_code,
     cb_identity,
+    ci_setup,
     column_distance,
+    extended_rs,
     field_new,
     h0,
     h1,
+    hermitian_ci,
     is_cb_scheme,
     min_distance,
     profile,
     rank_e,
+    reed_muller_ci,
     sigma,
     verify_cb_all,
     verify_mds_corollary,
@@ -138,6 +143,10 @@ def test_fast_paths_match_reference(q, picks):
     prof = profile(gamma)
     assert sigma(gamma) == prof.sigma
     assert (prof.table, prof.sigma) == profile_reference(gamma)
+    # ranks of points rise strictly until |Gamma|, which verify_cb_all's
+    # certificate relies on: one relation in degree s only at s = sigma
+    assert all(x < y for x, y in zip(prof.ranks, prof.ranks[1:]))
+    assert all(rk < len(gamma) for rk in prof.ranks)
     assert is_cb_scheme(gamma, prof.sigma) == is_cb_scheme_reference(gamma)
 
 
@@ -162,7 +171,8 @@ def test_profile_ranks_match_each_degree_off_the_plane(mq, picks):
 
 
 def relations_reference(gamma, a):
-    """`theorems._relations` read off the code's own RREF generator."""
+    """The relation count of e_a's rows and whether every point lies in some
+    relation's support, read off the code's own RREF generator."""
     gen = build_code(gamma, a).gen
     free = set(range(len(gamma))) - {row.index(1) for row in gen}
     return len(free), all(any(row[c] for c in free) for row in gen)
@@ -177,14 +187,17 @@ SUBSET_SPACES = {**{(2, q): plane for q, plane in PLANES.items()}, **SPACES}
 @example(mq=(2, 4), picks=list(range(21)))  # all of P^2(F_4)
 @example(mq=(2, 5), picks=LINE_AT_INFINITY)  # x_0 = 0 at every point
 @example(mq=(1, 8), picks=list(range(9)))  # all of P^1(F_8)
-def test_relations_from_the_pass_match_the_code(mq, picks):
-    """The relations of e_a read from the product pass's basis of C_a against
-    those read from `build_code(gamma, a).gen`, at every degree -2..sigma+2:
-    below 0, through the pass, and past it, where C_a is all of F_q^n."""
+def test_relation_count_and_cb_scheme_from_the_pass_match_the_code(mq, picks):
+    """The relations of e_a, counted as n - rank e_a from `profile` and with
+    their supports from `is_cb_scheme`, against those read from
+    `build_code(gamma, a).gen`, at every degree -2..sigma+2: below 0, through
+    the pass, and past it, where C_a is all of F_q^n."""
     space = SUBSET_SPACES[mq]
     gamma = space.subset(i % len(space) for i in picks)
-    for a in range(-2, profile(gamma).sigma + 3):
-        assert theorems._relations(gamma, a) == relations_reference(gamma, a)
+    prof = profile(gamma)
+    for a in range(-2, prof.sigma + 3):
+        assert ((len(gamma) - prof.rank(a), is_cb_scheme(gamma, a))
+                == relations_reference(gamma, a))
 
 
 def test_examples_cover_both_verdicts():
@@ -264,15 +277,23 @@ NO_RELATION = ([7, 8, 11, 16, 22, 24], 2, 1)
          budget=1000, seed=0)
 @example(q=5, picks=NO_RELATION[0], s=NO_RELATION[1], a=NO_RELATION[2],
          budget=1000, seed=0)
+@example(q=5, picks=GRID_3X3, s=2, a=1, budget=1000, seed=0)  # s below sigma = 3
+@example(q=5, picks=TWO_CONICS, s=3, a=1, budget=1000, seed=0)  # s above sigma = 1
+@example(q=5, picks=TWO_CONICS, s=3, a=5, budget=1000, seed=0)  # certified, a > s
+@example(q=5, picks=[], s=0, a=0, budget=1, seed=0)  # rank e_s = 0, not n - 1
 def test_cb_sweep_matches_per_split_identity(q, picks, s, a, budget, seed):
-    """verify_cb_all and its split walk against the per-split path; a
-    certified degree, which the walk never sees, has no violation there."""
+    """verify_cb_all and its split walk against the per-split path; the walk
+    runs exactly on the degrees the certificate refuses, and a certified
+    degree, which the walk never sees, has no violation there."""
     space = PLANES[q]
     setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
     reference = verify_cb_all_reference(setup, a, budget, seed)
     walked = walk_splits(setup, a, budget, seed)
-    assert verify_cb_all(setup, a, budget, seed) == walked == reference
-    if certified_reference(setup, a):
+    with patch.object(theorems, "_walk_splits", wraps=theorems._walk_splits) as walk:
+        assert verify_cb_all(setup, a, budget, seed) == walked == reference
+    certified = certified_reference(setup, a)
+    assert walk.call_count == (not certified)
+    if certified:
         assert walked.violations == ()
 
 
@@ -302,12 +323,17 @@ def test_cb_sweep_examples_have_violations(monkeypatch):
 
 
 def test_cb_certificate_covers_complete_intersections(monkeypatch):
-    """The two conics and the 3 x 3 grid are certified at every degree, in
-    [0, s] and outside it, so no split is walked."""
+    """The two conics, the 3 x 3 grid and the benchmark corpus's RM(3,2),
+    RM(4,2), RM(5,2), RS over F_16 and Hermitian curve over F_9 are certified
+    at every degree -2..s+2, in [0, s] and outside it, so no split is walked."""
     walks = counted_walks(monkeypatch)
-    for picks, s in ((TWO_CONICS, 1), (GRID_3X3, 3)):
-        setup = CISetup(PLANES[5].subset(picks), (), s)
-        for a in range(-2, s + 3):
+    setups = [CISetup(PLANES[5].subset(picks), (), s)
+              for picks, s in ((TWO_CONICS, 1), (GRID_3X3, 3))]
+    for polys, spec in (reed_muller_ci(3, 2), reed_muller_ci(4, 2), reed_muller_ci(5, 2),
+                        extended_rs(16, 1), hermitian_ci(3)):
+        setups.append(ci_setup(polys, spec.m, spec.field))
+    for setup in setups:
+        for a in range(-2, setup.s + 3):
             assert certified_reference(setup, a)
             assert verify_cb_all(setup, a, 64) == verify_cb_all_reference(setup, a, 64, 0)
     assert walks == []

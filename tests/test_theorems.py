@@ -135,18 +135,22 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
     """verify_cb_all, its split walk and verify_projection_injectivity rank
     the point rows they already built: on RM(4,2) (16 points, s = 5) at a = 2,
     the walk builds e_3's and e_2's 16 rows each, the certificate that
-    replaces it those too and none of e_5's, whose relation it reads from the
-    product pass, and the injectivity check e_2's 16, where ranking them
-    again through rank_e built 56 and 26."""
-    from cicodes import code
+    replaces it none, since it reads every rank and e_5's relation from the
+    product pass, and calls no `linalg.rank`, and the injectivity check
+    builds e_2's 16, where ranking them again through rank_e built 56 and 26."""
+    from cicodes import code, cohomology
     from cicodes.linalg import rank
     polys, spec = reed_muller_ci(4, 2)
     setup = ci_setup(polys, spec.m, spec.field)
-    built, row = [], code._monomial_row
+    built, ranked, row = [], [], code._monomial_row
 
     def counted(point, monomials, field):
         built.append((len(monomials), point))
         return row(point, monomials, field)
+
+    def counted_rank(rows, field):
+        ranked.append(field)
+        return rank(rows, field)
 
     monkeypatch.setattr(code, "_monomial_row", counted)
     rows = tuple(code.evaluation_matrix(setup.gamma, b).rows for b in (3, 2))
@@ -155,9 +159,10 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
     assert theorems._walk_splits(setup, 2, 1, 0, rows, caps).violations == ()
     assert len(built) == 32
     built.clear()
+    monkeypatch.setattr(theorems, "rank", counted_rank)
+    monkeypatch.setattr(cohomology, "matrix_rank", counted_rank)
     assert verify_cb_all(setup, 2, budget=1).violations == ()
-    assert len(built) == len(set(built)) == 32  # C(b+2, 2) = 10 and 6 columns
-    built.clear()
+    assert built == ranked == []
     assert verify_projection_injectivity(setup, 2)
     assert len(built) == 16
 
