@@ -38,6 +38,7 @@ from .theorems import (
     BoundReport,
     CBReport,
     CISetup,
+    cb_certificate,
     cb_identity,
     ci_setup,
     hansen_bound,

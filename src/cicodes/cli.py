@@ -28,6 +28,7 @@ from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
 from .poly import monomial_count, parse as parse_poly, poly_text, read_int
 from .theorems import (
+    cb_certificate,
     cb_split_count,
     ci_setup,
     is_cb_scheme,
@@ -133,27 +134,23 @@ def _parse_degree_range(text: str):
     return degrees
 
 
-def _check_work(n, m, degrees, jobs, what, s=None):
-    """Refuse a run on n points of P^m whose evaluation matrices, e_a for a
-    in `degrees` and, given s, e_{s-a} and (if 0 <= a <= s) e_s, hold more than
-    MAX_MATRIX_ENTRIES entries in all, then one whose eliminations take more
-    than MAX_ELIMINATION_WORK field operations: each (rows, b) in `jobs`
-    inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
-    most min(n, cols) rows.  Each sum stops at its first excess; the entry
-    sum runs first, so it bounds the degrees.  More degrees than
-    MAX_MATRIX_ENTRIES are refused at once; with n = 0 every sum is 0.  For
-    `hilbert`, and e_s in `cb`, the sums keep the point rows and eliminations
-    that the product pass replaced, so that no refusal or exit code moves."""
+def _check_work(n, m, degrees, jobs, what):
+    """Refuse a run on n points of P^m whose evaluation matrices, e_b for b
+    in `degrees`, hold more than MAX_MATRIX_ENTRIES entries in all, then one
+    whose eliminations take more than MAX_ELIMINATION_WORK field operations:
+    each (rows, b) in `jobs` inserts rows of e_b, of cols = C(b+m, m)
+    entries, into a basis of at most min(n, cols) rows.  Each sum stops at
+    its first excess; the entry sum runs first, so it bounds the degrees.
+    More degrees than MAX_MATRIX_ENTRIES are refused at once; with n = 0
+    every sum is 0, so only that length counts."""
     too_many = f"{what} would build more than {MAX_MATRIX_ENTRIES} evaluation-matrix entries"
     if degrees[MAX_MATRIX_ENTRIES:]:  # a slice: len() overflows on a huge range
         raise ValueError(too_many)
     if not n:
         return
     entries = 0
-    for a in degrees:
-        cols = monomial_count(m, a) + (0 if s is None else monomial_count(m, s - a)
-                                       + (0 <= a <= s) * monomial_count(m, s))
-        entries += n * cols
+    for b in degrees:
+        entries += n * monomial_count(m, b)
         if entries > MAX_MATRIX_ENTRIES:
             raise ValueError(too_many)
     work = 0
@@ -171,16 +168,20 @@ def cmd_cb(args) -> int:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    # counts per degree a: e_a, e_{s-a}, e_s's n rows if 0 <= a <= s, and a walk's
-    # 2^(n+1) inserts over all 2^n splits, else n per split, into the wider basis;
-    # only a walk builds e_a and e_{s-a}, none e_s: kept so no exit code moves
-    n, s, splits = setup.n, setup.s, cb_split_count(setup.n, args.budget)
-    inserts = 2 * splits if splits == 1 << n else n * splits
-    jobs = (job for a in degrees for job in ((n * (0 <= a <= s), s), (inserts, max(a, s - a))))
-    _check_work(n, vf.m, degrees, jobs, f"degrees {args.degrees}", s)
+    n, s, what = setup.n, setup.s, f"degrees {args.degrees}"
+    _check_work(0, vf.m, degrees, (), what)  # the range, by its length alone
+    if n:  # the pass as `hilbert` counts it; an empty Gamma makes none and walks no row
+        _check_work(n, vf.m, range(s + 2), ((n, b) for b in range(s + 2)), what)
+    certificate = cb_certificate(setup, degrees)
+    walked = [a for a in degrees if not certificate.certified(a)] if n else []
+    splits = cb_split_count(n, args.budget)  # a walk builds e_a and e_{s-a}, then inserts
+    inserts = 2 * splits if splits == 1 << n else n * splits  # 2^(n+1) rows, or n per split
+    _check_work(n, vf.m, [b for a in walked for b in (a, s - a)],
+                ((inserts, max(a, s - a)) for a in walked), what)
     print(f"seed={args.seed}")
     for a in degrees:
-        report = verify_cb_all(setup, a, budget=args.budget, seed=args.seed)
+        report = verify_cb_all(setup, a, budget=args.budget, seed=args.seed,
+                               certificate=certificate)
         if report.violations:  # set first: `main` returns it if the pipe breaks
             args.code = EXIT_VALIDATION
         print(*report.lines(), sep="\n")

@@ -74,23 +74,33 @@ def cb_split_count(n: int, budget: int) -> int:
     return total if total <= budget else min(total, max(budget, 2 * n + 2))
 
 
-def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5,
-                  seed: int = 0) -> CBReport:
-    """Check the identity over all subset splits, or a seeded sample when 2^n
-    exceeds the budget (always sizes 0, 1, n-1, n).  Every split holds, with no
-    walk, if rank e_a + rank e_{s-a} = n and, for 0 <= a <= s, rank e_s = n - 1
-    (so s = sigma: ranks of points rise strictly to n) and e_s's one relation
-    lambda has no zero entry (`is_cb_scheme`): R_s = R_a R_{s-a}, so e_a^T
-    diag(lambda) spans e_{s-a}'s left kernel (outside [0, s] one map is 0, the
-    other injective).  Only a degree that fails this builds point rows."""
+CBCertificate = namedtuple("CBCertificate", "profile certified")  # certified(a) -> bool
+
+
+def cb_certificate(setup: CISetup, degrees: range) -> CBCertificate:
+    """One `_bases` pass, cut after the top degree read (a, s - a or s for a in
+    `degrees`; past it the profile reads |Gamma|), and one `is_cb_scheme(gamma, s)`.
+    Degree a is certified, every split holding, if rank e_a + rank e_{s-a} = n and,
+    for 0 <= a <= s, rank e_s = n - 1 (s = sigma: ranks of points rise strictly to
+    n) and e_s's one relation lambda has no zero entry: R_s = R_a R_{s-a}, so e_a^T
+    diag(lambda) spans e_{s-a}'s left kernel (outside [0, s] one map is 0, the other injective)."""
     n, s, gamma = setup.n, setup.s, setup.gamma
-    top = max(a, s - a, s)  # `profile`'s pass, stopped after the top degree read
-    prof = CohomologyProfile(gamma, tuple(islice(map(len, _bases(gamma)), top + 1)))
+    stop = min(n, max(0, degrees[-1] + 1, s - degrees[0] + 1, s + 1))  # within 0..n for islice
+    prof = CohomologyProfile(gamma, tuple(islice(map(len, _bases(gamma)), stop)))
+    one_relation = prof.rank(s) == n - 1 and is_cb_scheme(gamma, s)
+    return CBCertificate(prof, lambda a: prof.rank(a) + prof.rank(s - a) == n
+                         and (not 0 <= a <= s or one_relation))
+
+
+def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5, seed: int = 0, *,
+                  certificate: CBCertificate) -> CBReport:
+    """The identity over all subset splits, or a seeded sample when 2^n > budget (sizes
+    0, 1, n-1, n always); walked unless `certificate` (for degrees holding a) certifies a."""
+    s, prof = setup.s, certificate.profile
+    if certificate.certified(a):
+        return CBReport(a, cb_split_count(setup.n, budget), (), 1 << setup.n <= budget, seed)
+    rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (s - a, a))  # bit clear, set
     caps = (prof.rank(s - a), prof.rank(a))  # on all of Gamma, which no subset exceeds
-    if sum(caps) == n and (not 0 <= a <= s or prof.rank(s) == n - 1
-                           and is_cb_scheme(gamma, s)):
-        return CBReport(a, cb_split_count(n, budget), (), 1 << n <= budget, seed)
-    rows = tuple(evaluation_matrix(gamma, b).rows for b in (s - a, a))  # bit clear, set
     return _walk_splits(setup, a, budget, seed, rows, caps)
 
 

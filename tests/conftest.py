@@ -1,6 +1,7 @@
 import pytest
 
 from cicodes import (
+    cb_certificate,
     ci_setup,
     extended_rs,
     field_new,
@@ -8,6 +9,11 @@ from cicodes import (
     parse,
     reed_muller_ci,
 )
+
+
+def certify(setup, a):
+    """A `verify_cb_all` certificate made for degree a alone."""
+    return cb_certificate(setup, range(a, a + 1))
 
 
 @pytest.fixture(scope="session")

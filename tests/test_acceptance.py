@@ -28,6 +28,7 @@ from cicodes import (
     weight_distribution,
 )
 from cicodes.cli import main as cli_main
+from conftest import certify
 
 CAP = 1 << 22
 
@@ -98,7 +99,7 @@ def test_04_cayley_bacharach_identity(two_conic, rm3, herm2):
     jobs = [(two_conic, range(4), 16), (rm3, range(6), 512), (herm2, range(5), 64)]
     for setup, degrees, splits in jobs:
         for a in degrees:
-            rep = verify_cb_all(setup, a, budget=10 ** 5)
+            rep = verify_cb_all(setup, a, budget=10 ** 5, certificate=certify(setup, a))
             assert rep.exhaustive
             assert rep.splits_checked == splits
             assert rep.violations == ()

@@ -441,7 +441,7 @@ def test_analyze_zero_code_exit_2(write, capsys):
 @pytest.mark.parametrize("family,degree,flags", [
     (("rm", "--q", "3", "--m", "2"), "3000", ("--no-range-check",)),  # 9 x 4,504,501
     (("rm", "--q", "3", "--m", "2"), "100000", ("--no-range-check",)),
-    (("rs", "--q", "4096"), "2500", ()),  # in range: 4,097 points x 2,501 columns
+    (("rs", "--q", "4096"), "2500", ()),  # in range: 4,096 points x 2,501 columns
 ])
 def test_analyze_work_limit_exit_2(capsys, tmp_path, family, degree, flags):
     path = str(tmp_path / "variety.txt")
@@ -515,7 +515,7 @@ def test_cb_budget_below_1_exit_2(write, capsys, budget):
 
 @pytest.mark.parametrize("family,degrees", [
     (("rm", "--q", "3", "--m", "2"), "0..100000000"),  # 9 points, a huge range
-    (("rs", "--q", "4096"), "1"),  # 4,097 points, e_{s-1} has 4,094 columns
+    (("rs", "--q", "4096"), "1"),  # 4,096 points: the pass counts 3.4 * 10^10 entries
 ])
 def test_cb_work_limit_exit_2(capsys, tmp_path, family, degrees):
     path = str(tmp_path / "variety.txt")
@@ -527,6 +527,46 @@ def test_cb_work_limit_exit_2(capsys, tmp_path, family, degrees):
     assert captured.out == ""
     assert captured.err == (f"error: degrees {degrees} would build more than "
                             f"10000000 evaluation-matrix entries\n")
+
+
+@pytest.mark.parametrize("family,s", [(("rm", "--q", "7", "--m", "2"), 11),
+                                      (("rs", "--q", "127"), 125)], ids=["rm7_2", "rs127"])
+def test_cb_over_the_whole_window_in_time(capsys, tmp_path, family, s):
+    """`cb --degrees 0..s` on RM(7,2) (49 points) and extended RS over F_127:
+    one certificate answers every degree, and the work check counts the pass
+    once and no walk.  A child process, so that a hang fails by its timeout."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", *family, "--out", path]) == 0
+    capsys.readouterr()
+    proc = run_child(["cb", path, "--degrees", f"0..{s}"], timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["seed=0", *(
+        f"a={a} splits=100000 exhaustive=false violations=0" for a in range(s + 1))]
+
+
+def test_cb_long_range_in_time(write):
+    """100,001 degrees on RM(3,2), whose e_a past degree 3 the certificate
+    never builds, so the work check counts none of them."""
+    proc = run_child(["cb", write(RM3), "--degrees", "0..100000"], timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["seed=0", *(
+        f"a={a} splits=512 exhaustive=true violations=0" for a in range(100001))]
+
+
+def test_cb_makes_the_pass_at_most_twice(write, capsys, monkeypatch):
+    """A `cb` run makes `_bases`'s product pass once for the certificate of
+    all its degrees and once in `is_cb_scheme`, whatever its degree count."""
+    from cicodes import theorems
+    passes, bases = [], theorems._bases
+
+    def counted(gamma):
+        passes.append(len(gamma))
+        return bases(gamma)
+
+    monkeypatch.setattr(theorems, "_bases", counted)
+    code, out = run(capsys, ["cb", write(RM3), "--degrees", "0..3"])
+    assert (code, len(out.splitlines())) == (0, 5)
+    assert 1 <= len(passes) <= 2
 
 
 def test_cb_non_split_gate(write, capsys):
@@ -544,7 +584,7 @@ def test_hilbert_rm3(write, capsys):
 
 @pytest.mark.parametrize("q", ["4096", "6561"])
 def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
-    """_check_work's count of e_0 .. e_{s+1} on q + 1 points refuses the run
+    """_check_work's count of e_0 .. e_{s+1} on q points refuses the run
     before any output.  A child process with a timeout keeps a hang from
     stalling the suite."""
     path = str(tmp_path / "variety.txt")
@@ -560,7 +600,7 @@ def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
 
 @pytest.mark.parametrize("family,argv,what", [
     (None, ["hilbert"], "hilbert over degrees 0..16"),  # 2.7 * 10^8
-    (None, ["cb", "--degrees", "0..16", "--budget", "64"], "degrees 0..16"),  # 2.3 * 10^11
+    (None, ["cb", "--degrees", "0..16", "--budget", "64"], "degrees 0..16"),  # 2.7 * 10^8
     (("rs", "--q", "4096"), ["analyze", "--degree", "2000"], "degree 2000"),  # 1.6 * 10^10
 ])
 def test_elimination_work_limit_exit_2(capsys, write, family, argv, what):

@@ -22,6 +22,7 @@ from cicodes import (
     Polynomial,
     brouwer_zimmermann,
     build_code,
+    cb_certificate,
     cb_identity,
     ci_setup,
     column_distance,
@@ -47,6 +48,7 @@ from cicodes.code import _bound_gain, _walk, evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
 from cicodes.linalg import insert, nullspace, rank, rref
 from cicodes.poly import monomials_of_degree
+from conftest import certify
 
 KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
     (2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2), (16, 2, 4))}
@@ -290,11 +292,54 @@ def test_cb_sweep_matches_per_split_identity(q, picks, s, a, budget, seed):
     reference = verify_cb_all_reference(setup, a, budget, seed)
     walked = walk_splits(setup, a, budget, seed)
     with patch.object(theorems, "_walk_splits", wraps=theorems._walk_splits) as walk:
-        assert verify_cb_all(setup, a, budget, seed) == walked == reference
+        assert verify_cb_all(setup, a, budget, seed,
+                             certificate=certify(setup, a)) == walked == reference
     certified = certified_reference(setup, a)
     assert walk.call_count == (not certified)
     if certified:
         assert walked.violations == ()
+
+
+WHOLE = (0, 99)  # ends that span the window -2..s+2
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(sorted(PLANES)),
+       picks=st.lists(st.integers(0, 90), unique=True, max_size=10),
+       s=st.integers(-2, 6), ends=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+       budget=st.sampled_from([1, 7, 40]), seed=st.integers(0, 3))
+@example(q=5, picks=TWO_CONICS, s=1, ends=WHOLE, budget=1000, seed=0)
+@example(q=5, picks=GRID_3X3[:8], s=3, ends=WHOLE, budget=40, seed=1)
+@example(q=5, picks=[], s=0, ends=WHOLE, budget=1, seed=0)
+@example(q=5, picks=NOT_CI_LINE[0], s=NOT_CI_LINE[1], ends=WHOLE, budget=1000, seed=0)
+@example(q=4, picks=list(range(0, 18, 2)), s=2, ends=WHOLE, budget=1000, seed=0)  # F_4
+@example(q=9, picks=list(range(12)), s=3, ends=WHOLE, budget=1000, seed=2)  # deep prefixes
+@example(q=5, picks=GRID_3X3 + [0], s=3, ends=WHOLE, budget=7, seed=3)  # budget < 2n+2
+@example(q=5, picks=GRID_3X3, s=3, ends=WHOLE, budget=40, seed=1)  # certified, sampled
+@example(q=5, picks=ZERO_IN_RELATION[0], s=ZERO_IN_RELATION[1], ends=WHOLE, budget=1000,
+         seed=0)
+@example(q=5, picks=NO_RELATION[0], s=NO_RELATION[1], ends=WHOLE, budget=1000, seed=0)
+@example(q=5, picks=GRID_3X3, s=2, ends=WHOLE, budget=1000, seed=0)  # s below sigma = 3
+@example(q=5, picks=TWO_CONICS, s=3, ends=WHOLE, budget=1000, seed=0)  # s above sigma = 1
+@example(q=5, picks=[], s=0, ends=(2, 2), budget=1, seed=0)  # rank e_s = 0, not n - 1
+@example(q=5, picks=GRID_3X3, s=2, ends=(5, 6), budget=40, seed=0)  # 3..4, above s and top
+def test_one_certificate_decides_its_whole_window(q, picks, s, ends, budget, seed):
+    """One `cb_certificate` made for a window of degrees within -2..s+2 serves
+    `verify_cb_all` at every degree of it as the per-split path answers, and
+    walks exactly the degrees that `certified_reference` refuses.  Its pass is
+    cut after the highest degree the window reads (a, s - a or s), and a
+    profile reads |Gamma| past its cut, so a cut too low certifies a degree
+    above it whose rank is lower: GRID_3X3 at s = 2 < sigma = 3, a = 3 or 4."""
+    space = PLANES[q]
+    setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
+    lo, hi = sorted(min(e - 2, s + 2) for e in ends)
+    window = range(lo, hi + 1)
+    certificate = cb_certificate(setup, window)
+    with patch.object(theorems, "_walk_splits", wraps=theorems._walk_splits) as walk:
+        for a in window:
+            assert (verify_cb_all(setup, a, budget, seed, certificate=certificate)
+                    == verify_cb_all_reference(setup, a, budget, seed))
+    assert walk.call_count == sum(not certified_reference(setup, a) for a in window)
 
 
 def counted_walks(monkeypatch):
@@ -318,7 +363,7 @@ def test_cb_sweep_examples_have_violations(monkeypatch):
                                       (NO_RELATION, 4)):
         setup = CISetup(PLANES[5].subset(picks), (), s)
         assert not certified_reference(setup, a)
-        assert len(verify_cb_all(setup, a).violations) == violations
+        assert len(verify_cb_all(setup, a, certificate=certify(setup, a)).violations) == violations
     assert walks == [0, 0, 1]
 
 
@@ -335,7 +380,8 @@ def test_cb_certificate_covers_complete_intersections(monkeypatch):
     for setup in setups:
         for a in range(-2, setup.s + 3):
             assert certified_reference(setup, a)
-            assert verify_cb_all(setup, a, 64) == verify_cb_all_reference(setup, a, 64, 0)
+            assert (verify_cb_all(setup, a, 64, certificate=certify(setup, a))
+                    == verify_cb_all_reference(setup, a, 64, 0))
     assert walks == []
 
 
@@ -344,7 +390,8 @@ def test_cb_sweep_deeper_than_recursion_limit():
     gamma = enumerate_projective(2, field_new(37, 1))
     n = len(gamma)
     assert n > sys.getrecursionlimit()
-    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1)
+    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1,
+                           certificate=certify(CISetup(gamma, (), 0), 0))
     # In degree 0 only the empty mask and the single points miss the identity.
     assert report.splits_checked == 2 * n + 2
     assert report.violations == ((0, 1, n - 1),) + tuple(

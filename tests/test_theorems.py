@@ -31,6 +31,7 @@ from cicodes.errors import (
 )
 from cicodes.geometry import PointSet
 from cicodes.theorems import cb_split_count
+from conftest import certify
 
 
 def test_ci_setup_rejects_non_split(f3):
@@ -78,7 +79,8 @@ def test_cb_identity_full_subset(two_conic, rm3):
 
 def test_cb_all_two_conic(two_conic):
     for a in range(4):
-        rep = verify_cb_all(two_conic, a, budget=10 ** 5)
+        rep = verify_cb_all(two_conic, a, budget=10 ** 5,
+                            certificate=certify(two_conic, a))
         assert rep.exhaustive
         assert rep.splits_checked == 16
         assert rep.violations == ()
@@ -86,21 +88,21 @@ def test_cb_all_two_conic(two_conic):
 
 def test_cb_all_rm3(rm3):
     for a in range(6):
-        rep = verify_cb_all(rm3, a, budget=10 ** 5)
+        rep = verify_cb_all(rm3, a, budget=10 ** 5, certificate=certify(rm3, a))
         assert rep.exhaustive and rep.splits_checked == 512
         assert rep.violations == ()
 
 
 def test_cb_all_hermitian(herm2):
     for a in range(5):
-        rep = verify_cb_all(herm2, a, budget=10 ** 5)
+        rep = verify_cb_all(herm2, a, budget=10 ** 5, certificate=certify(herm2, a))
         assert rep.exhaustive and rep.splits_checked == 64
         assert rep.violations == ()
 
 
 def test_cb_all_sampled_is_seeded(rs7_m2):
-    r1 = verify_cb_all(rs7_m2, 2, budget=50, seed=3)
-    r2 = verify_cb_all(rs7_m2, 2, budget=50, seed=3)
+    r1 = verify_cb_all(rs7_m2, 2, budget=50, seed=3, certificate=certify(rs7_m2, 2))
+    r2 = verify_cb_all(rs7_m2, 2, budget=50, seed=3, certificate=certify(rs7_m2, 2))
     assert not r1.exhaustive
     assert r1 == r2
     assert r1.violations == ()
@@ -110,7 +112,8 @@ def test_cb_all_sampled_is_seeded(rs7_m2):
 def test_cb_split_count_is_splits_checked(two_conic, budget):
     """The count the CLI bounds is the count the walk checks: all 16 splits of
     4 points within the budget, else max(budget, 10) masks, at most 16."""
-    report = verify_cb_all(two_conic, 1, budget=budget)
+    report = verify_cb_all(two_conic, 1, budget=budget,
+                           certificate=certify(two_conic, 1))
     assert report.splits_checked == cb_split_count(4, budget) == \
         (16 if budget >= 16 else min(16, max(budget, 10)))
     assert report.exhaustive == (budget >= 16)
@@ -161,7 +164,7 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
     built.clear()
     monkeypatch.setattr(theorems, "rank", counted_rank)
     monkeypatch.setattr(cohomology, "matrix_rank", counted_rank)
-    assert verify_cb_all(setup, 2, budget=1).violations == ()
+    assert verify_cb_all(setup, 2, budget=1, certificate=certify(setup, 2)).violations == ()
     assert built == ranked == []
     assert verify_projection_injectivity(setup, 2)
     assert len(built) == 16
