@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from . import families
 from .code import DEFAULT_CAP
 from .code import build_code, min_distance  # noqa: F401 (perfbench/replay.py wraps both)
-from .cohomology import profile
+from .cohomology import MAX_ELIMINATION_WORK, MAX_MATRIX_ENTRIES, profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
 from .geometry import check_space, validate_ci, variety_points
@@ -41,11 +41,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
-
-# evaluation-matrix entries one `analyze`, `cb` or `hilbert` run may build
-MAX_MATRIX_ENTRIES = 10 ** 7
-# field operations the eliminations of one such run may take (`_check_work`)
-MAX_ELIMINATION_WORK = 10 ** 8
 
 
 VarietyFile = namedtuple("VarietyFile", "field m polys")
@@ -135,24 +130,18 @@ def _parse_degree_range(text: str):
 
 
 def _check_work(n, m, degrees, jobs, what):
-    """Refuse a run on n points of P^m whose evaluation matrices, e_b for b
-    in `degrees`, hold more than MAX_MATRIX_ENTRIES entries in all, then one
-    whose eliminations take more than MAX_ELIMINATION_WORK field operations:
-    each (rows, b) in `jobs` inserts rows of e_b, of cols = C(b+m, m)
-    entries, into a basis of at most min(n, cols) rows.  Each sum stops at
-    its first excess; the entry sum runs first, so it bounds the degrees.
-    More degrees than MAX_MATRIX_ENTRIES are refused at once; with n = 0
-    every sum is 0, so only that length counts."""
-    too_many = f"{what} would build more than {MAX_MATRIX_ENTRIES} evaluation-matrix entries"
-    if degrees[MAX_MATRIX_ENTRIES:]:  # a slice: len() overflows on a huge range
-        raise ValueError(too_many)
-    if not n:
-        return
+    """Refuse a run on n points of P^m whose evaluation matrices, e_b for b in
+    `degrees` (`analyze`'s e_a; e_a and e_{s-a} per degree `cb` walks), hold
+    more than MAX_MATRIX_ENTRIES entries in all, then one whose eliminations
+    take more than MAX_ELIMINATION_WORK field operations: each (rows, b) in
+    `jobs` inserts rows of e_b, of cols = C(b+m, m) entries, into a basis of at
+    most min(n, cols) rows.  The product pass bounds itself (`cohomology._bases`)."""
     entries = 0
     for b in degrees:
         entries += n * monomial_count(m, b)
         if entries > MAX_MATRIX_ENTRIES:
-            raise ValueError(too_many)
+            raise ValueError(f"{what} would build more than {MAX_MATRIX_ENTRIES} "
+                             f"evaluation-matrix entries")
     work = 0
     for rows, b in jobs:
         cols = monomial_count(m, b)
@@ -169,9 +158,9 @@ def cmd_cb(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
     n, s, what = setup.n, setup.s, f"degrees {args.degrees}"
-    _check_work(0, vf.m, degrees, (), what)  # the range, by its length alone
-    if n:  # the pass as `hilbert` counts it; an empty Gamma makes none and walks no row
-        _check_work(n, vf.m, range(s + 2), ((n, b) for b in range(s + 2)), what)
+    if degrees[MAX_MATRIX_ENTRIES:]:  # by its length alone; a slice, as len() overflows
+        raise ValueError(f"{what} would build more than {MAX_MATRIX_ENTRIES} "
+                         f"evaluation-matrix entries")
     certificate = cb_certificate(setup, degrees)
     walked = [a for a in degrees if not certificate.certified(a)] if n else []
     splits = cb_split_count(n, args.budget)  # a walk builds e_a and e_{s-a}, then inserts
@@ -191,9 +180,6 @@ def cmd_cb(args) -> int:
 def cmd_hilbert(args) -> int:
     vf = load_variety_file(args.file)
     setup = ci_setup(vf.polys, vf.m, vf.field)
-    degrees = range(setup.s + 2)  # e_0 .. e_{s+1} on a CI, as _check_work counts them
-    _check_work(setup.n, vf.m, degrees, ((setup.n, b) for b in degrees),
-                f"hilbert over degrees 0..{setup.s + 1}")
     prof = profile(setup.gamma)
     for line in prof.lines():
         print(line)

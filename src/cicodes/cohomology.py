@@ -10,9 +10,13 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .code import point_rows
+from .errors import SpaceTooLargeError
 from .geometry import PointSet
 from .linalg import insert, rank as matrix_rank
 from .poly import monomial_count
+
+MAX_MATRIX_ENTRIES = 10 ** 7  # entries: n^2 in the product pass, e_a's in `cli._check_work`
+MAX_ELIMINATION_WORK = 10 ** 8  # field operations: counted by the pass, predicted by `_check_work`
 
 
 def rank_e(gamma: PointSet, a: int) -> int:
@@ -76,22 +80,32 @@ def _bases(gamma: PointSet):
     grow in place once yielded), for a = 0, 1, ... below full rank (a < n - 1
     on distinct points).  As each degree-(a+1) monomial is x_j times one of
     degree a, C_{a+1} = x_0*C_a + sum_{j>=1} x_j*N_a, N_a the rows that entered
-    at degree a, N_0 = {(1, ..., 1)}: at most 1 + m*(n-1) inserts if x_0 = 1."""
-    n, field, basis = len(gamma), gamma.field, []
+    at degree a, N_0 = {(1, ..., 1)}: at most 1 + m*(n-1) inserts if x_0 = 1.
+    Refuses n^2 > MAX_MATRIX_ENTRIES at once, and its work past MAX_ELIMINATION_WORK."""
+    n, field, basis, work = len(gamma), gamma.field, [], 0
+    if n * n > MAX_MATRIX_ENTRIES:
+        raise SpaceTooLargeError(f"the product pass may hold {n}^2 > {MAX_MATRIX_ENTRIES} entries")
     mul, columns = field.mul, tuple(zip(*gamma))  # columns[j]: x_j at each point
+    def grow(basis, row):  # insert `row`, counting its n entries and one reduction per row
+        nonlocal work
+        work += n * (len(basis) + 1)
+        if work > MAX_ELIMINATION_WORK:
+            raise SpaceTooLargeError(f"the product pass on {n} points passed "
+                                     f"{MAX_ELIMINATION_WORK} field operations at degree {a}")
+        insert(basis, row, field)
     products = [[1] * n]
-    for _ in range(n - 1):
+    for a in range(n - 1):
+        if a and any(x != 1 for x in columns[0]):  # restart from x_0 * (basis of C_{a-1})
+            old, basis = basis, []
+            for _, row in old:
+                grow(basis, [mul(x, y) for x, y in zip(columns[0], row)])
         size = len(basis)
         for product in products:
-            insert(basis, product, field)
+            grow(basis, product)
             if len(basis) == n:
                 return
         yield basis
         new = [row for _, row in basis[size:]]
-        if any(x != 1 for x in columns[0]):  # restart from x_0 * (basis of C_a)
-            old, basis = basis, []
-            for _, row in old:
-                insert(basis, [mul(x, y) for x, y in zip(columns[0], row)], field)
         products = ([mul(x, y) for x, y in zip(xs, row)]
                     for xs in columns[1:] for row in new)
 

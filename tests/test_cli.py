@@ -260,12 +260,10 @@ def test_analyze_on_empty_gamma_ends_at_once(write):
 @pytest.mark.parametrize("text,argv,what", [
     pytest.param(EMPTY_GAMMA, ["cb", "--degrees", "0.." + "9" * 30],
                  "degrees 0.." + "9" * 30, id="cb"),
-    pytest.param(EMPTY_GAMMA.replace("1000000", "9" * 4000), ["hilbert"],
-                 f"hilbert over degrees 0..{10 ** 4000 - 3}", id="hilbert"),
 ])
 def test_degree_range_on_empty_gamma_exit_2(write, text, argv, what):
-    """No point counts no matrix entry in any degree, so a degree range is
-    refused by its length alone before a degree is walked."""
+    """A `cb` degree range of more than 10^7 degrees is refused by its length
+    alone, before a degree is walked, though no point counts any entry."""
     proc = run_child([argv[0], write(text), *argv[1:]], timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (f"error: {what} would build more than 10000000 "
@@ -273,13 +271,14 @@ def test_degree_range_on_empty_gamma_exit_2(write, text, argv, what):
 
 
 def test_hilbert_on_empty_gamma_in_time(write):
-    """s + 2 = 9,999,999 degrees, just under the refusal: the entry sum ends
-    at once with no points, and the symmetry check reads the degrees around
+    """s = 9,999,997 and an s of 4,000 digits (refused by a count of the
+    degrees 0..s+1 before the pass bounded itself): with no points the pass
+    inserts nothing, and the symmetry check reads the degrees around
     sigma + 1 and s - sigma - 1 and one between (26.6 s when it walked them all)."""
-    text = EMPTY_GAMMA.replace("1000000", "9999999")
-    proc = run_child(["hilbert", write(text)], timeout=10)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-3:] == ["sigma=-1", "symmetry=pass", "cb_scheme=true"]
+    for exponent in ("9999999", "9" * 4000):
+        proc = run_child(["hilbert", write(EMPTY_GAMMA.replace("1000000", exponent))], timeout=10)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-3:] == ["sigma=-1", "symmetry=pass", "cb_scheme=true"]
 
 
 # `cicodes.cli` with a sweep that reports one violation per degree
@@ -515,7 +514,7 @@ def test_cb_budget_below_1_exit_2(write, capsys, budget):
 
 @pytest.mark.parametrize("family,degrees", [
     (("rm", "--q", "3", "--m", "2"), "0..100000000"),  # 9 points, a huge range
-    (("rs", "--q", "4096"), "1"),  # 4,096 points: the pass counts 3.4 * 10^10 entries
+    (("rs", "--q", "4096"), "1"),  # 4,096 points: the pass may hold 4,096^2 entries
 ])
 def test_cb_work_limit_exit_2(capsys, tmp_path, family, degrees):
     path = str(tmp_path / "variety.txt")
@@ -525,7 +524,9 @@ def test_cb_work_limit_exit_2(capsys, tmp_path, family, degrees):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == (f"error: degrees {degrees} would build more than "
+    assert captured.err == ("error: the product pass may hold 4096^2 > 10000000 entries\n"
+                            if family[0] == "rs" else
+                            f"error: degrees {degrees} would build more than "
                             f"10000000 evaluation-matrix entries\n")
 
 
@@ -533,8 +534,9 @@ def test_cb_work_limit_exit_2(capsys, tmp_path, family, degrees):
                                       (("rs", "--q", "127"), 125)], ids=["rm7_2", "rs127"])
 def test_cb_over_the_whole_window_in_time(capsys, tmp_path, family, s):
     """`cb --degrees 0..s` on RM(7,2) (49 points) and extended RS over F_127:
-    one certificate answers every degree, and the work check counts the pass
-    once and no walk.  A child process, so that a hang fails by its timeout."""
+    one certificate answers every degree, from a product pass that bounds
+    itself, and no degree is walked.  A child process, so that a hang fails
+    by its timeout."""
     path = str(tmp_path / "variety.txt")
     assert main(["family", *family, "--out", path]) == 0
     capsys.readouterr()
@@ -584,37 +586,111 @@ def test_hilbert_rm3(write, capsys):
 
 @pytest.mark.parametrize("q", ["4096", "6561"])
 def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
-    """_check_work's count of e_0 .. e_{s+1} on q points refuses the run
-    before any output.  A child process with a timeout keeps a hang from
-    stalling the suite."""
+    """The product pass on q points may hold q^2 > 10^7 entries, so it refuses
+    the run before its first product and before any output.  A child process
+    with a timeout keeps a hang from stalling the suite."""
     path = str(tmp_path / "variety.txt")
     assert main(["family", "rs", "--q", q, "--out", path]) == 0
     capsys.readouterr()
-    proc = run_child(["hilbert", path], timeout=60)
-    s = int(q) - 2
+    proc = run_child(["hilbert", path], timeout=10)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == (f"error: hilbert over degrees 0..{s + 1} would build "
-                           f"more than 10000000 evaluation-matrix entries\n")
+    assert proc.stderr == f"error: the product pass may hold {q}^2 > 10000000 entries\n"
+
+
+def test_product_pass_counts_its_work(capsys, tmp_path, monkeypatch):
+    """The pass adds n * (|basis| + 1) at each insert, and refuses with one
+    line at the insert that takes the count past MAX_ELIMINATION_WORK, also
+    through `hilbert`, which then prints nothing; n^2 past
+    MAX_MATRIX_ENTRIES is refused before the first product."""
+    from cicodes import cohomology
+    from cicodes.cli import load_variety_file
+    from cicodes.errors import SpaceTooLargeError
+    path = str(tmp_path / "rm7_2.txt")
+    assert main(["family", "rm", "--q", "7", "--m", "2", "--out", path]) == 0
+    vf = load_variety_file(path)
+    gamma = ci_setup(vf.polys, vf.m, vf.field).gamma
+    counts, insert = [], cohomology.insert
+
+    def counted(basis, row, field):
+        counts.append(len(row) * (len(basis) + 1))
+        return insert(basis, row, field)
+
+    monkeypatch.setattr(cohomology, "insert", counted)
+    ranks = cohomology.profile(gamma).ranks
+    monkeypatch.setattr(cohomology, "MAX_ELIMINATION_WORK", sum(counts))
+    assert cohomology.profile(gamma).ranks == ranks  # at the limit, not past it
+    monkeypatch.setattr(cohomology, "MAX_ELIMINATION_WORK", 10 ** 4)
+    with pytest.raises(SpaceTooLargeError) as refusal:
+        cohomology.profile(gamma)
+    assert str(refusal.value) == ("the product pass on 49 points passed 10000 "
+                                  "field operations at degree 5")
+    capsys.readouterr()
+    assert main(["hilbert", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {refusal.value}\n")
+    monkeypatch.setattr(cohomology, "MAX_MATRIX_ENTRIES", 48 ** 2)
+    with pytest.raises(SpaceTooLargeError) as refusal:
+        cohomology.profile(gamma)
+    assert str(refusal.value) == "the product pass may hold 49^2 > 2304 entries"
 
 
 @pytest.mark.parametrize("family,argv,what", [
-    (None, ["hilbert"], "hilbert over degrees 0..16"),  # 2.7 * 10^8
-    (None, ["cb", "--degrees", "0..16", "--budget", "64"], "degrees 0..16"),  # 2.7 * 10^8
+    (("rs", "--q", "3125"), ["hilbert"], "degree 252"),  # 3,125^2 entries, within the limit
+    (("rs", "--q", "3125"), ["cb", "--degrees", "1"], "degree 252"),
     (("rs", "--q", "4096"), ["analyze", "--degree", "2000"], "degree 2000"),  # 1.6 * 10^10
 ])
-def test_elimination_work_limit_exit_2(capsys, write, family, argv, what):
-    """Within the entry limit, rows x cols x min(n, cols) past 10^8 is refused
-    before any output."""
-    path = write(GRID_245)
-    if family:  # in place of the grid
-        assert main(["family", *family, "--out", path]) == 0
-        capsys.readouterr()
+def test_elimination_work_limit_exit_2(capsys, tmp_path, family, argv, what):
+    """Field operations past 10^8 are refused before any output: counted by
+    the product pass of `hilbert` and `cb` at the insert that passes them (at
+    `what`), and predicted for `analyze`'s elimination of e_a."""
+    path = str(tmp_path / "variety.txt")
+    assert main(["family", *family, "--out", path]) == 0
+    capsys.readouterr()
     proc = run_child([argv[0], path, *argv[1:]], timeout=8)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (f"error: {what} would take more than 100000000 "
-                           f"field operations to eliminate\n")
+                           f"field operations to eliminate\n" if argv[0] == "analyze" else
+                           f"error: the product pass on 3125 points passed 100000000 "
+                           f"field operations at {what}\n")
+
+
+# all of P^1(F_127): x0 = 0 at one point, so the pass restarts its basis at each degree
+P1_F127 = "field p=127 e=1\nvars m=1\npoly x0^127*x1 - x0*x1^127\n"
+
+
+@pytest.mark.parametrize("text,family,sigma", [
+    (GRID_245, None, 15),  # 2.6 * 10^7
+    (None, ("rs", "--q", "512"), 510),  # 6.7 * 10^7
+    (P1_F127, None, 126),  # 4.5 * 10^7
+], ids=["grid245", "rs512", "p1_f127"])
+def test_hilbert_from_the_pass_in_time(capsys, write, text, family, sigma):
+    """Inputs whose product pass counts less than 10^8 field operations end
+    in a fresh process, though a count of per-degree eliminations refused the
+    grid and RS q=512."""
+    path = write(text or "")
+    if family:  # in place of the empty file
+        assert main(["family", *family, "--out", path]) == 0
+        capsys.readouterr()
+    proc = run_child(["hilbert", path], timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-3:] == [f"sigma={sigma}", "symmetry=pass", "cb_scheme=true"]
+
+
+@pytest.mark.parametrize("text,hi,budget,splits", [
+    (GRID_245, 16, 64, 492),  # 2 * 245 + 2 sampled splits
+    (P1_F127, 126, 100000, 100000),
+], ids=["grid245", "p1_f127"])
+def test_cb_from_the_pass_in_time(write, text, hi, budget, splits):
+    """`cb` over a window that one certificate answers, in a fresh process:
+    the grid, refused while its pass was counted as per-degree eliminations,
+    and P^1(F_127), the input nearest the pass's limit that ended before."""
+    proc = run_child(["cb", write(text), "--degrees", f"0..{hi}", "--budget", str(budget)],
+                     timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["seed=0", *(
+        f"a={a} splits={splits} exhaustive=false violations=0" for a in range(hi + 1))]
 
 
 def test_analyze_long_words_in_time(capsys, tmp_path):
