@@ -15,8 +15,8 @@ from .geometry import PointSet
 from .linalg import insert, rank as matrix_rank
 from .poly import monomial_count
 
-MAX_MATRIX_ENTRIES = 10 ** 7  # entries: n^2 in the product pass, e_a's in `cli._check_work`
-MAX_ELIMINATION_WORK = 10 ** 8  # field operations: counted by the pass, predicted by `_check_work`
+MAX_MATRIX_ENTRIES = 10 ** 7  # entries: n^2 in the pass, e_b's in `theorems._check_matrices`
+MAX_ELIMINATION_WORK = 10 ** 8  # field operations: counted by the pass, predicted there
 
 
 def rank_e(gamma: PointSet, a: int) -> int:
@@ -49,8 +49,9 @@ def sigma(gamma: PointSet) -> int:
     return profile(gamma).sigma
 
 
-class CohomologyProfile(namedtuple("CohomologyProfile", "gamma ranks")):
-    """Gamma with ranks = (rank e_0, ..., rank e_sigma), each below |Gamma|."""
+class CohomologyProfile(namedtuple("CohomologyProfile", "gamma ranks top")):
+    """Gamma with ranks = (rank e_0, ..., rank e_sigma), each below |Gamma|, and
+    top = C_sigma's echelon basis as (pivot, row) pairs, () for sigma = -1."""
 
     __slots__ = ()
 
@@ -111,5 +112,11 @@ def _bases(gamma: PointSet):
 
 
 def profile(gamma: PointSet) -> CohomologyProfile:
-    """rank e_0, e_1, ... up to the first full rank, from one `_bases` pass."""
-    return CohomologyProfile(gamma, tuple(len(basis) for basis in _bases(gamma)))
+    """rank e_0, e_1, ... up to the first full rank, from one `_bases` pass, and
+    the last basis it yields cut to its length then: `insert` only appends to a
+    yielded basis, and a restart starts a new list."""
+    ranks, top = [], []
+    for top in _bases(gamma):
+        ranks.append(len(top))
+    top = top[:ranks[-1]] if ranks else ()
+    return CohomologyProfile(gamma, tuple(ranks), tuple((c, tuple(row)) for c, row in top))

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from itertools import islice
 
 from .code import (DEFAULT_CAP, brouwer_zimmermann, brouwer_zimmermann_cost, build_code,
                    check_word_cap, column_distance, evaluation_matrix, min_distance)
-from .cohomology import CohomologyProfile, _bases, h0, h1, rank_e
+from .cohomology import (MAX_ELIMINATION_WORK, MAX_MATRIX_ENTRIES, CohomologyProfile, h0, h1,
+                         profile, rank_e)
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
-from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError
+from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError, SpaceTooLargeError
 from .geometry import PointSet, validate_ci, variety_points
 from .linalg import insert, rank
+from .poly import monomial_count
 
 
 class CISetup(namedtuple("CISetup", "gamma degrees s")):
@@ -77,28 +78,45 @@ def cb_split_count(n: int, budget: int) -> int:
 CBCertificate = namedtuple("CBCertificate", "profile certified")  # certified(a) -> bool
 
 
-def cb_certificate(setup: CISetup, degrees: range) -> CBCertificate:
-    """One `_bases` pass, cut after the top degree read (a, s - a or s for a in
-    `degrees`; past it the profile reads |Gamma|), and one `is_cb_scheme(gamma, s)`.
-    Degree a is certified, every split holding, if rank e_a + rank e_{s-a} = n and,
-    for 0 <= a <= s, rank e_s = n - 1 (s = sigma: ranks of points rise strictly to
-    n) and e_s's one relation lambda has no zero entry: R_s = R_a R_{s-a}, so e_a^T
-    diag(lambda) spans e_{s-a}'s left kernel (outside [0, s] one map is 0, the other injective)."""
-    n, s, gamma = setup.n, setup.s, setup.gamma
-    stop = min(n, max(0, degrees[-1] + 1, s - degrees[0] + 1, s + 1))  # within 0..n for islice
-    prof = CohomologyProfile(gamma, tuple(islice(map(len, _bases(gamma)), stop)))
-    one_relation = prof.rank(s) == n - 1 and is_cb_scheme(gamma, s)
+def cb_certificate(setup: CISetup) -> CBCertificate:
+    """One `profile` and one `is_cb_scheme`.  Degree a is certified, every split
+    holding, if rank e_a + rank e_{s-a} = n and, for 0 <= a <= s, rank e_s = n - 1
+    (so s = sigma: ranks of points rise strictly to n, and the profile's top is
+    C_s) and e_s's one relation lambda has no zero entry: R_s = R_a R_{s-a}, so
+    e_a^T diag(lambda) spans e_{s-a}'s left kernel (outside [0, s] one map is 0,
+    the other injective)."""
+    n, s, prof = setup.n, setup.s, profile(setup.gamma)
+    one_relation = prof.rank(s) == n - 1 and is_cb_scheme(prof)
     return CBCertificate(prof, lambda a: prof.rank(a) + prof.rank(s - a) == n
                          and (not 0 <= a <= s or one_relation))
+
+
+def _check_matrices(setup: CISetup, a: int, degrees, inserts: int) -> None:
+    """Refuse, for degree a, to build e_b for each b in `degrees` when they hold
+    more than MAX_MATRIX_ENTRIES entries in all, then to insert `inserts` rows
+    of the widest, of cols = C(b+m, m) entries, into a basis of at most
+    min(n, cols) rows when that passes MAX_ELIMINATION_WORK field operations."""
+    n, m = setup.n, setup.gamma.m
+    if n * sum(monomial_count(m, b) for b in degrees) > MAX_MATRIX_ENTRIES:
+        raise SpaceTooLargeError(f"degree {a} would build more than {MAX_MATRIX_ENTRIES} "
+                                 f"evaluation-matrix entries")
+    cols = monomial_count(m, max(degrees))
+    if inserts * cols * min(n, cols) > MAX_ELIMINATION_WORK:
+        raise SpaceTooLargeError(f"degree {a} would take more than {MAX_ELIMINATION_WORK} "
+                                 f"field operations to eliminate")
 
 
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5, seed: int = 0, *,
                   certificate: CBCertificate) -> CBReport:
     """The identity over all subset splits, or a seeded sample when 2^n > budget (sizes
-    0, 1, n-1, n always); walked unless `certificate` (for degrees holding a) certifies a."""
-    s, prof = setup.s, certificate.profile
+    0, 1, n-1, n always); walked unless `certificate` (for degrees holding a) certifies a.
+    A walk builds e_a and e_{s-a}, then inserts 2^(n+1) rows over all 2^n splits, or n
+    per split when sampled: `_check_matrices` refuses it first if that is too much."""
+    n, s, prof = setup.n, setup.s, certificate.profile
+    splits = cb_split_count(n, budget)
     if certificate.certified(a):
-        return CBReport(a, cb_split_count(setup.n, budget), (), 1 << setup.n <= budget, seed)
+        return CBReport(a, splits, (), 1 << n <= budget, seed)
+    _check_matrices(setup, a, (a, s - a), 2 * splits if splits == 1 << n else n * splits)
     rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (s - a, a))  # bit clear, set
     caps = (prof.rank(s - a), prof.rank(a))  # on all of Gamma, which no subset exceeds
     return _walk_splits(setup, a, budget, seed, rows, caps)
@@ -195,10 +213,12 @@ class BoundReport(namedtuple("BoundReport",
 def verify_main_theorem(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> BoundReport:
     """Exact parameters of C(Gamma)_a against s - a + 2 and Singleton at any
     degree a; mds_sufficient (n - k <= s - a + 1) holds only for 1 <= a <= s.
-    An over-cap search is refused on k = rank e_a before the code is built.
+    e_a's n*C(a+m, m) entries and their elimination are checked first, then an
+    over-cap search is refused on k = rank e_a before the code is built.
     d comes from the columns when k <= 2, else from whichever of the
     Brouwer-Zimmermann search and the scan of every projective class visits
     fewer words at worst; none of the three uses s - a + 2."""
+    _check_matrices(setup, a, (a,), setup.n)
     k, q = rank_e(setup.gamma, a), setup.gamma.field.q
     if k:  # k = 0 keeps min_distance's zero-code error
         check_word_cap(q, k, cap)
@@ -233,19 +253,17 @@ def verify_mds_corollary(setup: CISetup, a: int, cap: int = DEFAULT_CAP) -> bool
     return report.mds == _every_subset_has_rank(rows, size, size, setup.gamma.field)
 
 
-def is_cb_scheme(gamma: PointSet, sg: int) -> bool:
-    """Dropping any one point keeps h0 in degree sg = sigma(Gamma) unchanged:
-    every point lies in the support of a relation among e_sg's rows.  In the
-    RREF generator of C(Gamma)_sg each free column f gives one, 1 at f and
+def is_cb_scheme(prof: CohomologyProfile) -> bool:
+    """Dropping any one point keeps h0 in degree sigma unchanged: every point
+    lies in the support of a relation among e_sigma's rows.  In the RREF
+    generator of C(Gamma)_sigma each free column f gives one, 1 at f and
     -row[f] at each row's pivot, so a pivot is in a support iff its row is
-    nonzero at a free column.  `_bases` gives C_sg (none for sg < 0: vacuous;
-    F_q^n past the pass); its free columns alone are reduced, last pivot first."""
-    basis = [] if sg < 0 else next(islice(_bases(gamma), sg, None), None)
-    if basis is None:
-        return not gamma
-    field, reduced = gamma.field, {}  # pivot: its RREF row at the free columns
-    free = sorted(set(range(len(gamma))) - {c for c, _ in basis})
-    for c, row in sorted(basis, reverse=True):
+    nonzero at a free column.  The profile's top is C_sigma's echelon basis
+    (none for sigma = -1: vacuous); its free columns alone are reduced, last
+    pivot first."""
+    field, reduced = prof.gamma.field, {}  # pivot: its RREF row at the free columns
+    free = sorted(set(range(len(prof.gamma))) - {c for c, _ in prof.top})
+    for c, row in sorted(prof.top, reverse=True):
         entries = [row[f] for f in free]
         for d, done in reduced.items():
             if row[d]:

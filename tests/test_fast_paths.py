@@ -149,7 +149,7 @@ def test_fast_paths_match_reference(q, picks):
     # certificate relies on: one relation in degree s only at s = sigma
     assert all(x < y for x, y in zip(prof.ranks, prof.ranks[1:]))
     assert all(rk < len(gamma) for rk in prof.ranks)
-    assert is_cb_scheme(gamma, prof.sigma) == is_cb_scheme_reference(gamma)
+    assert is_cb_scheme(prof) == is_cb_scheme_reference(gamma)
 
 
 SPACES = {(m, q): enumerate_projective(m, field_new(p, e))
@@ -190,16 +190,19 @@ SUBSET_SPACES = {**{(2, q): plane for q, plane in PLANES.items()}, **SPACES}
 @example(mq=(2, 5), picks=LINE_AT_INFINITY)  # x_0 = 0 at every point
 @example(mq=(1, 8), picks=list(range(9)))  # all of P^1(F_8)
 def test_relation_count_and_cb_scheme_from_the_pass_match_the_code(mq, picks):
-    """The relations of e_a, counted as n - rank e_a from `profile` and with
-    their supports from `is_cb_scheme`, against those read from
-    `build_code(gamma, a).gen`, at every degree -2..sigma+2: below 0, through
-    the pass, and past it, where C_a is all of F_q^n."""
+    """The relations of e_a, counted as n - rank e_a from `profile`, against
+    those read from `build_code(gamma, a).gen`, at every degree -2..sigma+2:
+    below 0, through the pass, and past it, where C_a is all of F_q^n.  At
+    sigma, the profile's top reduces to that generator, and `is_cb_scheme`
+    reads their supports from it as the generator does."""
     space = SUBSET_SPACES[mq]
     gamma = space.subset(i % len(space) for i in picks)
     prof = profile(gamma)
     for a in range(-2, prof.sigma + 3):
-        assert ((len(gamma) - prof.rank(a), is_cb_scheme(gamma, a))
-                == relations_reference(gamma, a))
+        assert len(gamma) - prof.rank(a) == relations_reference(gamma, a)[0]
+    top, _ = rref([row for _, row in prof.top], gamma.field)
+    assert tuple(map(tuple, top)) == build_code(gamma, prof.sigma).gen
+    assert is_cb_scheme(prof) == relations_reference(gamma, prof.sigma)[1]
 
 
 def test_examples_cover_both_verdicts():
@@ -207,7 +210,7 @@ def test_examples_cover_both_verdicts():
     for picks, verdict in ((GRID_3X3, True), (TWO_CONICS, True),
                            (LINE_AT_INFINITY + [6], False)):
         gamma = plane.subset(picks)
-        assert is_cb_scheme(gamma, sigma(gamma)) is verdict
+        assert is_cb_scheme(profile(gamma)) is verdict
 
 
 def verify_cb_all_reference(setup, a, budget, seed):
@@ -324,17 +327,15 @@ WHOLE = (0, 99)  # ends that span the window -2..s+2
 @example(q=5, picks=[], s=0, ends=(2, 2), budget=1, seed=0)  # rank e_s = 0, not n - 1
 @example(q=5, picks=GRID_3X3, s=2, ends=(5, 6), budget=40, seed=0)  # 3..4, above s and top
 def test_one_certificate_decides_its_whole_window(q, picks, s, ends, budget, seed):
-    """One `cb_certificate` made for a window of degrees within -2..s+2 serves
-    `verify_cb_all` at every degree of it as the per-split path answers, and
-    walks exactly the degrees that `certified_reference` refuses.  Its pass is
-    cut after the highest degree the window reads (a, s - a or s), and a
-    profile reads |Gamma| past its cut, so a cut too low certifies a degree
-    above it whose rank is lower: GRID_3X3 at s = 2 < sigma = 3, a = 3 or 4."""
+    """One `cb_certificate` serves `verify_cb_all` at every degree of a window
+    within -2..s+2 as the per-split path answers, and walks exactly the
+    degrees that `certified_reference` refuses, also where s is not sigma:
+    GRID_3X3 at s = 2 < sigma = 3 and the two conics at s = 3 > sigma = 1."""
     space = PLANES[q]
     setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
     lo, hi = sorted(min(e - 2, s + 2) for e in ends)
     window = range(lo, hi + 1)
-    certificate = cb_certificate(setup, window)
+    certificate = cb_certificate(setup)
     with patch.object(theorems, "_walk_splits", wraps=theorems._walk_splits) as walk:
         for a in window:
             assert (verify_cb_all(setup, a, budget, seed, certificate=certificate)
@@ -386,12 +387,14 @@ def test_cb_certificate_covers_complete_intersections(monkeypatch):
 
 
 def test_cb_sweep_deeper_than_recursion_limit():
-    """The walk keeps its own stack: n points nest n levels deep."""
+    """The walk keeps its own stack: n points nest n levels deep.  Its
+    certificate certifies nothing and holds rank e_0 = 1, which is all the
+    walk reads at a = s = 0."""
     gamma = enumerate_projective(2, field_new(37, 1))
     n = len(gamma)
     assert n > sys.getrecursionlimit()
-    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1,
-                           certificate=certify(CISetup(gamma, (), 0), 0))
+    certificate = theorems.CBCertificate(CohomologyProfile(gamma, (1,), ()), lambda a: False)
+    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1, certificate=certificate)
     # In degree 0 only the empty mask and the single points miss the identity.
     assert report.splits_checked == 2 * n + 2
     assert report.violations == ((0, 1, n - 1),) + tuple(
@@ -685,7 +688,7 @@ def test_symmetry_window_matches_every_degree(n, s, data):
     2 * (sigma + 3) rank reads however large s is."""
     ranks = sorted(data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1))) if n > 1 else []
     gamma = PointSet(tuple((1, j) for j in range(n)), 1, KERNEL_FIELDS[2])
-    prof = CohomologyProfile(gamma, tuple(ranks))
+    prof = CohomologyProfile(gamma, tuple(ranks), ())
     every = all(prof.rank(a) + prof.rank(s - a) == n for a in range(-1, s + 2))
     reads = []
 

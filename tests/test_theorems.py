@@ -14,7 +14,6 @@ from cicodes import (
     profile,
     rank_e,
     residual,
-    sigma,
     verify_cb_all,
     verify_main_theorem,
     verify_mds_corollary,
@@ -28,6 +27,7 @@ from cicodes.errors import (
     DegreeOutOfRangeError,
     NonSplitError,
     NotASubsetError,
+    SpaceTooLargeError,
 )
 from cicodes.geometry import PointSet
 from cicodes.theorems import cb_split_count
@@ -110,14 +110,40 @@ def test_cb_all_sampled_is_seeded(rs7_m2):
 
 @pytest.mark.parametrize("budget", [1, 3, 4, 5, 16, 17, 20, 64])
 def test_cb_split_count_is_splits_checked(two_conic, budget):
-    """The count the CLI bounds is the count the walk checks: all 16 splits of
-    4 points within the budget, else max(budget, 10) masks, at most 16."""
+    """The count `verify_cb_all` bounds a walk by is the count it checks: all
+    16 splits of 4 points within the budget, else max(budget, 10) masks, at most 16."""
     report = verify_cb_all(two_conic, 1, budget=budget,
                            certificate=certify(two_conic, 1))
     assert report.splits_checked == cb_split_count(4, budget) == \
         (16 if budget >= 16 else min(16, max(budget, 10)))
     assert report.exhaustive == (budget >= 16)
     assert report.violations == ()
+
+
+@pytest.mark.parametrize("limit,at,text", [
+    ("MAX_MATRIX_ENTRIES", 16, "build more than 15 evaluation-matrix entries"),  # 4 * (1 + 3)
+    ("MAX_ELIMINATION_WORK", 288, "take more than 287 field operations to eliminate"),
+], ids=["entries", "work"])
+def test_walk_limits_refuse_before_the_matrices(f5, monkeypatch, limit, at, text):
+    """Four points of the line x0 = 0 with s = 1, no CI, so degree 0 is walked:
+    e_0 and e_1 hold 4 * (1 + 3) entries, and the 2^5 inserts of all 16 splits
+    into a basis of at most 3 rows of 3 entries take 288 operations.  One past
+    either limit is refused with one line before either matrix is built; at
+    the limit the walk runs."""
+    setup = theorems.CISetup(PointSet(((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)), 2, f5),
+                             (), 1)
+    certificate = certify(setup, 0)
+    assert not certificate.certified(0)
+    built, matrix = [], theorems.evaluation_matrix
+    monkeypatch.setattr(theorems, "evaluation_matrix",
+                        lambda gamma, b: built.append(b) or matrix(gamma, b))
+    monkeypatch.setattr(theorems, limit, at - 1)
+    with pytest.raises(SpaceTooLargeError) as refusal:
+        verify_cb_all(setup, 0, certificate=certificate)
+    assert (str(refusal.value), built) == (f"degree 0 would {text}", [])
+    monkeypatch.setattr(theorems, limit, at)
+    assert verify_cb_all(setup, 0, certificate=certificate).violations
+    assert built == [1, 0]
 
 
 def test_projection_injectivity_two_conic(two_conic):
@@ -300,19 +326,19 @@ def test_mds_corollary_witness_rm3(rm3):
 
 def test_is_cb_scheme_corpus(corpus):
     for name, setup in corpus.items():
-        assert is_cb_scheme(setup.gamma, sigma(setup.gamma)), name
+        assert is_cb_scheme(profile(setup.gamma)), name
 
 
 def test_is_cb_scheme_diagnostic(f5):
     # two collinear points plus one off the line: not a CI; just report
     pts = PointSet(((1, 0, 0), (1, 1, 0), (1, 0, 1)), 2, f5)
-    result = is_cb_scheme(pts, sigma(pts))
+    result = is_cb_scheme(profile(pts))
     assert isinstance(result, bool)
 
 
 def test_is_cb_scheme_single_point(f5):
     single = PointSet(((1, 2, 3),), 2, f5)
-    assert is_cb_scheme(single, sigma(single))
+    assert is_cb_scheme(profile(single))
 
 
 def test_lemma21_vanishing_on_subsets(corpus):
