@@ -76,12 +76,12 @@ class CohomologyProfile(namedtuple("CohomologyProfile", "gamma ranks top")):
         return ["    a  dimRa   rank     h0     h1", *rows, f"sigma={self.sigma}"]
 
 
-def _bases(gamma: PointSet):
-    """Yield the echelon basis of C_a, the column span of e_a in F_q^n (it may
-    grow in place once yielded), for a = 0, 1, ... below full rank (a < n - 1
-    on distinct points).  As each degree-(a+1) monomial is x_j times one of
-    degree a, C_{a+1} = x_0*C_a + sum_{j>=1} x_j*N_a, N_a the rows that entered
-    at degree a, N_0 = {(1, ..., 1)}: at most 1 + m*(n-1) inserts if x_0 = 1.
+def profile(gamma: PointSet) -> CohomologyProfile:
+    """rank e_0, e_1, ... up to the first full rank (a < n - 1 on distinct
+    points), from one pass over the echelon bases of C_a, the column span of
+    e_a in F_q^n.  As each degree-(a+1) monomial is x_j times one of degree a,
+    C_{a+1} = x_0*C_a + sum_{j>=1} x_j*N_a, N_a the rows that entered at
+    degree a, N_0 = {(1, ..., 1)}: at most 1 + m*(n-1) inserts if x_0 = 1.
     Refuses n^2 > MAX_MATRIX_ENTRIES at once, and its work past MAX_ELIMINATION_WORK."""
     n, field, basis, work = len(gamma), gamma.field, [], 0
     if n * n > MAX_MATRIX_ENTRIES:
@@ -94,7 +94,7 @@ def _bases(gamma: PointSet):
             raise SpaceTooLargeError(f"the product pass on {n} points passed "
                                      f"{MAX_ELIMINATION_WORK} field operations at degree {a}")
         insert(basis, row, field)
-    products = [[1] * n]
+    ranks, top, products = [], [], [[1] * n]
     for a in range(n - 1):
         if a and any(x != 1 for x in columns[0]):  # restart from x_0 * (basis of C_{a-1})
             old, basis = basis, []
@@ -104,19 +104,12 @@ def _bases(gamma: PointSet):
         for product in products:
             grow(basis, product)
             if len(basis) == n:
-                return
-        yield basis
+                break
+        if len(basis) == n:
+            break
+        ranks.append(len(basis))
+        top = basis[:]
         new = [row for _, row in basis[size:]]
         products = ([mul(x, y) for x, y in zip(xs, row)]
                     for xs in columns[1:] for row in new)
-
-
-def profile(gamma: PointSet) -> CohomologyProfile:
-    """rank e_0, e_1, ... up to the first full rank, from one `_bases` pass, and
-    the last basis it yields cut to its length then: `insert` only appends to a
-    yielded basis, and a restart starts a new list."""
-    ranks, top = [], []
-    for top in _bases(gamma):
-        ranks.append(len(top))
-    top = top[:ranks[-1]] if ranks else ()
     return CohomologyProfile(gamma, tuple(ranks), tuple((c, tuple(row)) for c, row in top))

@@ -3,8 +3,8 @@
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
 i.e. x = sum c_i * w^i.  Products, inverses, powers, monomials and negatives
-are lookups in log/antilog tables; addition is mod p (e = 1), XOR (p = 2), a
-q x q table for odd q <= 512, or digit-wise mod p above that.
+are lookups in log/antilog tables; addition is mod p (e = 1), XOR (p = 2), or
+else the sum of two lookups, by the low e // 2 base-p digits and by the rest.
 """
 
 from __future__ import annotations
@@ -204,19 +204,16 @@ class Field:
         two tables of p^k and p^(e-k) slow products (256 each for 2^16).
         """
         p, e, q = self.p, self.e, self.q
+        base = p ** (e // 2)
         if e == 1:
             self.add = lambda a, b: (a + b) % p
         elif p == 2:
             self.add = lambda a, b: a ^ b
-        elif q <= 512:  # a + b = lo[a_lo][b_lo] + hi[a_hi][b_hi], split at p^(e//2)
-            base = p ** (e // 2)
-            lo = [[self._add_digits(a, b) for b in range(base)] for a in range(base)]
-            hi = [[base * self._add_digits(a, b) for b in range(q // base)]
-                  for a in range(q // base)]
-            table = [[h + x for h in hi[a // base] for x in lo[a % base]] for a in range(q)]
-            self.add = lambda a, b: table[a][b]
-        else:
-            self.add = self._add_digits
+        else:  # a + b = low[a_lo][b_lo] + high[a_hi][b_hi], split at p^(e//2)
+            low = [[self._add_digits(a, b) for b in range(base)] for a in range(base)]
+            high = [[base * self._add_digits(a, b) for b in range(q // base)]
+                    for a in range(q // base)]
+            self.add = lambda a, b: low[a % base][b % base] + high[a // base][b // base]
         primes = _prime_factors(q - 1)
         mul = (lambda a, b: a * b % p) if e == 1 else self._mul_slow
         g = next(g for g in range(1, q)
@@ -224,7 +221,7 @@ class Field:
         if e == 1:
             step = lambda x: x * g % p
         else:
-            base, add = p ** (e // 2), self.add
+            add = self.add
             lo = [self._mul_slow(x, g) for x in range(base)]
             hi = [self._mul_slow(x * base, g) for x in range(q // base)]
             step = lambda x: add(lo[x % base], hi[x // base])

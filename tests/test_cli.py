@@ -556,20 +556,20 @@ def test_cb_long_range_in_time(write):
 @pytest.mark.parametrize("argv,lines", [(["hilbert"], 15), (["cb", "--degrees", "0..3"], 5)],
                          ids=["hilbert", "cb"])
 def test_a_run_makes_the_pass_once(write, capsys, monkeypatch, argv, lines):
-    """A `hilbert` or `cb` run makes `_bases`'s product pass once: its profile
+    """A `hilbert` or `cb` run makes `profile`'s product pass once: its profile
     hands C_sigma to `is_cb_scheme`.  The pass is counted under every name a
     `cicodes` module holds it by, so a second pass made through an imported
     name counts too."""
     from cicodes import cohomology
-    passes, bases = [], cohomology._bases
+    passes, real = [], cohomology.profile
 
     def counted(gamma):
         passes.append(len(gamma))
-        return bases(gamma)
+        return real(gamma)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("cicodes") and getattr(module, "_bases", None) is bases:
-            monkeypatch.setattr(module, "_bases", counted)
+        if name.startswith("cicodes") and getattr(module, "profile", None) is real:
+            monkeypatch.setattr(module, "profile", counted)
     code, out = run(capsys, [argv[0], write(RM3), *argv[1:]])
     assert (code, len(out.splitlines())) == (0, lines)
     assert passes == [9]

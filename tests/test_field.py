@@ -157,7 +157,7 @@ def test_mul_matches_oracle(p, e):
             assert f.mul(a, b) == oracle_mul(f, a, b)
 
 
-@pytest.mark.parametrize("p,e", SMALL_FIELDS + [(3, 6)])  # 3^6 > 512: digit add
+@pytest.mark.parametrize("p,e", SMALL_FIELDS + [(3, 6)])
 def test_add_matches_oracle(p, e):
     f = field_new(p, e)
     step = max(1, f.q // 16)
@@ -277,8 +277,7 @@ def test_tables_match_candidate_walk():
 
 
 def test_odd_extension_add_tables_match_digits():
-    """The q x q add table, built from split-digit tables, on every odd
-    extension field with q <= 512."""
+    """The split-digit add, every pair, on every odd extension field with q <= 512."""
     fields = [(p, e) for p, e in _fields_up_to(512) if p > 2 and e > 1]
     assert len(fields) == 12
     for p, e in fields:
@@ -286,6 +285,17 @@ def test_odd_extension_add_tables_match_digits():
         for a in range(f.q):
             assert [f.add(a, b) for b in range(f.q)] == \
                 [f._add_digits(a, b) for b in range(f.q)], (p, e, a)
+
+
+@pytest.mark.parametrize("p,e", [(3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (5, 5), (5, 6),
+                                 (7, 4), (7, 5), (23, 2), (251, 2)])
+def test_odd_extension_add_sampled_above_512(p, e):
+    """The split-digit add on 20,000 sampled pairs of larger odd extension
+    fields: odd e, where the high table has one digit more than the low one,
+    and the largest tables, 243^2 entries each on F_3^10."""
+    f, rng = field_new(p, e), random.Random(p * 100 + e)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(20000)]
+    assert [f.add(a, b) for a, b in pairs] == [f._add_digits(a, b) for a, b in pairs]
 
 
 # the corpus fields: `cicodes family rs --q 65536 | --q 6561` and the prime 65521
