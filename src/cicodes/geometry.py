@@ -121,21 +121,36 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
 
     split: the F_q point count equals the product of the degrees.
     smooth: the m x (m+1) Jacobian has rank m at every point.
-    A product of more than MAX_DIGITS digits, which `line` could not print,
-    is refused before the Jacobian is built.
+    Precondition: `pts` are common zeros of `polys`.  Euler's relation
+    sum_i x_i dF/dx_i = deg F * F then makes column j of the Jacobian a
+    combination of the others where x_j != 0, so its rank is that of the
+    m x m minor without the first nonzero coordinate's column, whose
+    partials `Field.log_terms` compiles once.  A zero polynomial, and a
+    degree product of more than MAX_DIGITS digits, which `line` could not
+    print, are refused first.
     """
     m = pts.m
     if len(polys) != m:
         raise WrongCountError(f"need exactly {m} hypersurfaces in P^{m}, "
                               f"got {len(polys)}")
+    if any(p.is_zero() for p in polys):
+        raise WrongCountError("the zero polynomial cuts out no hypersurface")
     degrees = tuple(p.degree() for p in polys)
     expected = prod(degrees)
-    if abs(expected) >= 10 ** MAX_DIGITS:
+    if expected >= 10 ** MAX_DIGITS:
         raise SpaceTooLargeError(f"the product of the degrees has more than "
                                  f"{MAX_DIGITS} digits")
     found = len(pts)
     split = found == expected
-    jac = [[p.partial_derivative(v) for v in range(m + 1)] for p in polys]
-    smooth = all(matrix_rank([[f.evaluate(pt) for f in row] for row in jac], pts.field) == m
-                 for pt in pts)
+    field = pts.field
+    jac = [[field.log_terms(p.partial_derivative(v).terms) for v in range(m + 1)]
+           for p in polys]
+    minors = [[row[:j] + row[j + 1:] for row in jac] for j in range(m + 1)]
+
+    def regular(pt):
+        rows = [[field.value(t, pt) for t in row]
+                for row in minors[next(j for j, x in enumerate(pt) if x)]]
+        return rows[0][0] != 0 if m == 1 else matrix_rank(rows, field) == m
+
+    smooth = all(regular(pt) for pt in pts)
     return CIValidation(degrees, expected, found, split, smooth)

@@ -2,9 +2,10 @@
 
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
-i.e. x = sum c_i * w^i.  Products, inverses, powers, monomials and negatives
-are lookups in log/antilog tables; addition is mod p (e = 1), XOR (p = 2), or
-else the sum of two lookups, by the low e // 2 base-p digits and by the rest.
+i.e. x = sum c_i * w^i.  Products, inverses, powers, monomials, compiled
+polynomial terms and negatives are lookups in log/antilog tables; addition
+is mod p (e = 1), XOR (p = 2), or else the sum of two lookups, by the low
+e // 2 base-p digits and by the rest.
 """
 
 from __future__ import annotations
@@ -282,6 +283,26 @@ class Field:
                     return 0
                 total += k * log[x]
         return self._exp[total % (self.q - 1)]
+
+    def log_terms(self, terms):
+        """A polynomial's {exponents: nonzero coefficient} map as (log c,
+        ((i, k), ...)) pairs with every k > 0: compiled once for `value`."""
+        return [(self._log[c], tuple((i, k) for i, k in enumerate(expo) if k))
+                for expo, c in terms.items()]
+
+    def value(self, log_terms, point) -> int:
+        """The sum of `log_terms` at a point, each term one sum of logs as in
+        `monomial`."""
+        log, exp, add, order = self._log, self._exp, self.add, self.q - 1
+        total = 0
+        for lc, factors in log_terms:
+            for i, k in factors:
+                if not point[i]:
+                    break
+                lc += k * log[point[i]]
+            else:
+                total = add(total, exp[lc % order])
+        return total
 
     def from_int(self, n: int) -> int:
         """Reduce an integer literal into F_q (image of n under Z -> F_p <= F_q)."""

@@ -478,6 +478,17 @@ def test_non_split_message(write, capsys, command):
                             "(expected=4 found=1 split=false smooth=false)\n")
 
 
+@pytest.mark.parametrize("command", [["points"], ["points", "--require-ci"], ["hilbert"],
+                                     ["analyze", "--degree", "1"], ["cb", "--degrees", "0"]])
+def test_zero_polynomial_exit_2(write, capsys, command):
+    """Its degree -1 would give expected=-1: refused before any output."""
+    code = main([command[0], write("field p=5 e=1\nvars m=1\npoly 0\n"), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the zero polynomial cuts out no hypersurface\n"
+
+
 def test_analyze_non_split(write, capsys):
     code, _ = run(capsys, ["analyze", write(NON_SPLIT), "--degree", "1"])
     assert code == 1

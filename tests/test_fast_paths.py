@@ -1,5 +1,6 @@
 """Differential checks against the straightforward definitions: the
-log-domain monomial kernel behind every evaluation, the upward sigma scan,
+log-domain monomial kernel behind every evaluation, the smoothness check on
+the Euler minor against the full Jacobian rank, the upward sigma scan,
 the truncated profile and its product pass, the CB-scheme relations read
 from that pass, the CB sweep and the combination walks over incremental
 echelon bases, rank and RREF by row insertion, the one codeword walk against
@@ -33,10 +34,13 @@ from cicodes import (
     hermitian_ci,
     is_cb_scheme,
     min_distance,
+    parse,
     profile,
     rank_e,
     reed_muller_ci,
     sigma,
+    validate_ci,
+    variety_points,
     verify_cb_all,
     verify_mds_corollary,
     verify_projection_injectivity,
@@ -47,7 +51,7 @@ from cicodes import theorems
 from cicodes.code import _bound_gain, _walk, evaluation_matrix
 from cicodes.geometry import PointSet, enumerate_projective
 from cicodes.linalg import insert, nullspace, rank, rref
-from cicodes.poly import monomials_of_degree
+from cicodes.poly import monomials_of_degree, poly_text
 from conftest import certify
 
 KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
@@ -67,8 +71,9 @@ def monomial_reference(field, point, expo):
 @settings(max_examples=200, deadline=None)
 @given(q=st.sampled_from(sorted(KERNEL_FIELDS)), m=st.integers(1, 2), data=st.data())
 def test_monomial_kernel_matches_power_products(q, m, data):
-    """Field.monomial, the rows of evaluation_matrix and Polynomial.evaluate,
-    at points with zero coordinates drawn often and degrees up to q + 2."""
+    """Field.monomial, the rows of evaluation_matrix, Polynomial.evaluate and
+    Field.value of the compiled terms, at points with zero coordinates drawn
+    often and degrees up to q + 2."""
     field = KERNEL_FIELDS[q]
     coord = st.one_of(st.just(0), st.integers(0, q - 1))
     points = data.draw(st.lists(st.tuples(*[coord] * (m + 1)),
@@ -83,12 +88,70 @@ def test_monomial_kernel_matches_power_products(q, m, data):
     coefs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(monomials),
                                max_size=len(monomials)))
     poly = Polynomial(field, m + 1, dict(zip(monomials, coefs)))
+    log_terms = field.log_terms(poly.terms)
     for pt in points:
         expected = 0
         for expo, c in zip(monomials, coefs):
             term = field.mul(c, monomial_reference(field, pt, expo))
             expected = field.add(expected, term)
         assert poly.evaluate(pt) == expected
+        assert field.value(log_terms, pt) == expected
+
+
+CI_FIELDS = {q: field_new(p, e) for q, p, e in (
+    (2, 2, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (9, 3, 2))}
+
+
+@st.composite
+def forms(draw):
+    """m nonzero homogeneous forms in P^m, m = 1..3, of degree 1..3 (1..5 on
+    P^1), as text over one of CI_FIELDS, coefficients 0 drawn often."""
+    q = draw(st.sampled_from(sorted(CI_FIELDS)))
+    m = draw(st.integers(1, 3))
+    field = CI_FIELDS[q]
+    coef = st.one_of(st.just(0), st.integers(0, q - 1))
+    texts = []
+    for _ in range(m):
+        monomials = monomials_of_degree(m, draw(st.integers(1, 5 if m == 1 else 3)))
+        terms = {expo: draw(coef) for expo in monomials}
+        terms[draw(st.sampled_from(monomials))] = draw(st.integers(1, q - 1))
+        texts.append(poly_text(Polynomial(field, m + 1, terms)))
+    return q, texts
+
+
+def smooth_reference(polys, gamma):
+    """Rank m of the whole m x (m+1) Jacobian at every point of Gamma."""
+    jac = [[f.partial_derivative(v) for v in range(gamma.m + 1)] for f in polys]
+    return all(rank([[g.evaluate(pt) for g in row] for row in jac], gamma.field) == gamma.m
+               for pt in gamma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=forms())
+@example(case=(5, ["x1^5 - x0^4*x1"]))  # p divides the degree: Euler's relation is 0
+@example(case=(5, ["x0*x1^2 - x0^2*x1"]))  # (0:1) lies off the chart x0 = 1
+@example(case=(5, ["x1^2", "x2^2"]))  # a double point: not smooth
+def test_smooth_on_the_euler_minor_matches_the_jacobian(case):
+    """validate_ci's smooth verdict, from the m x m minor without the first
+    nonzero coordinate's column, against the rank of the whole Jacobian, on
+    Gamma = variety_points: points with x0 = 0 are drawn often."""
+    q, texts = case
+    m, field = len(texts), CI_FIELDS[q]
+    polys = [parse(text, m, field) for text in texts]
+    gamma = variety_points(polys, m, field)
+    assert validate_ci(polys, gamma).smooth == smooth_reference(polys, gamma)
+
+
+def test_euler_minor_examples_cover_both_verdicts():
+    """The three examples: both verdicts, and a point off the chart x0 = 1."""
+    f5 = CI_FIELDS[5]
+    for texts, on_x0_0, smooth in ((["x1^5 - x0^4*x1"], False, True),
+                                   (["x0*x1^2 - x0^2*x1"], True, True),
+                                   (["x1^2", "x2^2"], False, False)):
+        polys = [parse(text, len(texts), f5) for text in texts]
+        gamma = variety_points(polys, len(texts), f5)
+        assert any(pt[0] == 0 for pt in gamma) is on_x0_0
+        assert validate_ci(polys, gamma).smooth is smooth is smooth_reference(polys, gamma)
 
 
 def sigma_reference(gamma):

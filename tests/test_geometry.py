@@ -10,7 +10,8 @@ from cicodes import (
     variety_points,
 )
 from cicodes.errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
-from cicodes.geometry import check_space
+from cicodes.geometry import PointSet, check_space
+from cicodes.linalg import rank
 
 
 @pytest.mark.parametrize("m,q_spec,expected", [
@@ -129,6 +130,38 @@ def test_validate_ci_non_split():
     assert val.expected == 4
     assert val.found == 1  # double structure at (1,0,0)
     assert not val.split
+
+
+def jacobian_rank(polys, pt, field):
+    return rank([[f.partial_derivative(v).evaluate(pt) for v in range(len(pt))]
+                 for f in polys], field)
+
+
+def test_euler_minor_needs_common_zeros():
+    """The minor is a submatrix of the Jacobian, so its rank m gives the
+    Jacobian's at any point of P^m; the converse needs Euler's relation, so
+    every F(pt) = 0, which validate_ci takes as its precondition."""
+    f5 = field_new(5, 1)
+    systems = [[parse("x1^2 - x0^2", 2, f5), parse("x2^2 - x0^2", 2, f5)],
+               [parse("x0*x1 + x2^2", 2, f5), parse("x1^2 - 2*x0*x2", 2, f5)],
+               [parse("x1^3 - x0*x2^2", 2, f5), parse("x2", 2, f5)]]
+    for polys in systems:
+        for pt in enumerate_projective(2, f5):
+            if validate_ci(polys, PointSet((pt,), 2, f5)).smooth:
+                assert jacobian_rank(polys, pt, f5) == 2
+    # off Gamma: F = x0 at (1:0) has Jacobian (1, 0), but the minor without
+    # the column of x0 is dF/dx1 = 0
+    polys, pt = [parse("x0", 1, f5)], (1, 0)
+    assert polys[0].evaluate(pt) != 0 and jacobian_rank(polys, pt, f5) == 1
+    assert not validate_ci(polys, PointSet((pt,), 1, f5)).smooth
+
+
+def test_validate_ci_zero_polynomial():
+    """Refused before the degree product, which would count -1 points."""
+    f5 = field_new(5, 1)
+    polys = [parse("x1", 2, f5), parse("0", 2, f5)]
+    with pytest.raises(WrongCountError, match="^the zero polynomial cuts out no hypersurface$"):
+        validate_ci(polys, variety_points(polys, 2, f5))
 
 
 def test_validate_ci_wrong_count():
