@@ -25,7 +25,7 @@ from .code import build_code, min_distance  # noqa: F401 (perfbench/replay.py wr
 from .cohomology import profile
 from .errors import CapExceededError, CICodesError, NonSplitError
 from .gf import field_new
-from .geometry import check_space, validate_ci, variety_points
+from .geometry import check_space, ci_degrees, validate_ci, variety_points
 from .poly import parse as parse_poly, poly_text, read_int
 from .theorems import (
     cb_certificate,
@@ -88,6 +88,8 @@ def load_variety_file(path: str) -> VarietyFile:
 
 def cmd_points(args) -> int:
     vf = load_variety_file(args.file)
+    if len(vf.polys) == vf.m:  # before the cut: a zero polynomial's is all of P^m
+        ci_degrees(vf.polys, vf.m)
     gamma = variety_points(vf.polys, vf.m, vf.field)
     # validated before any output, so a refusal leaves stdout empty
     val = validate_ci(vf.polys, gamma) if len(vf.polys) == vf.m else None

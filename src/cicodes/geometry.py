@@ -90,9 +90,9 @@ def enumerate_projective(m: int, field: Field) -> PointSet:
 
 
 def variety_points(polys, m: int, field: Field) -> PointSet:
-    """Common zero locus in P^m(F_q) of a list of homogeneous polynomials.
-    Refuses a cut whose points times (1 + terms) pass MAX_CUT_WORK: the
-    worst case builds every point and evaluates every term at it."""
+    """Common zero locus in P^m(F_q) of a list of homogeneous polynomials, in
+    the order of `enumerate_projective`.  Refuses a cut whose points times
+    (1 + terms) pass MAX_CUT_WORK, an upper bound on its work."""
     for poly in polys:
         if not poly.is_homogeneous():
             raise NonHomogeneousError(f"not homogeneous: {poly}")
@@ -102,10 +102,34 @@ def variety_points(polys, m: int, field: Field) -> PointSet:
         raise SpaceTooLargeError(
             f"cutting the {size} points of P^{m}(F_{field.q}) by {terms} terms "
             f"would take more than {MAX_CUT_WORK} point-term evaluations")
-    ambient = enumerate_projective(m, field)
-    points = tuple(pt for pt in ambient
-                   if all(poly.evaluate(pt) == 0 for poly in polys))
-    return PointSet(points, m, field)
+    return PointSet(tuple(_zeros(polys, m, field)), m, field)
+
+
+def _zeros(polys, m: int, field: Field):
+    """The common zeros: (0:...:0:1) on its own, then each line x_0..x_{m-1}
+    fixed, x_m = t, along which a polynomial is sum_k c_k t^k
+    (`Field.line_terms`): one scalar per c_k, and one list pass per k for
+    the t where all vanish.  A generator, so that `variety_points` builds
+    its tuple with no list in between."""
+    lines = [field.line_terms(poly.terms) for poly in polys]
+    elements = tuple(range(field.q))  # one int object per element, shared by the points
+    unit = (0,) * m + (1,)
+    if all(poly.evaluate(unit) == 0 for poly in polys):
+        yield unit
+    for lead in range(m - 1, -1, -1):
+        prefix = (0,) * lead + (1,)
+        for head in product(elements, repeat=m - 1 - lead):
+            base = prefix + head
+            along = [field.line_coefficients(line, base) for line in lines]
+            if any(coefficients.keys() == {0} for coefficients in along):
+                continue  # a nonzero constant on this line
+            ts = elements
+            for coefficients in along:
+                if coefficients:
+                    values = field.line_values(coefficients)
+                    ts = [t for t in ts if not values[t]]
+            for t in ts:
+                yield base + (t,)
 
 
 class CIValidation(namedtuple("CIValidation", "degrees expected found split smooth")):
@@ -114,6 +138,24 @@ class CIValidation(namedtuple("CIValidation", "degrees expected found split smoo
     def line(self):
         return (f"expected={self.expected} found={self.found} "
                 f"split={str(self.split).lower()} smooth={str(self.smooth).lower()}")
+
+
+def ci_degrees(polys, m: int) -> tuple:
+    """The degrees of the m hypersurfaces of a complete intersection in P^m.
+    Refuses another count, a zero polynomial, whose cut would be all of P^m,
+    and a degree product of more than MAX_DIGITS digits, which
+    `CIValidation.line` could not print: cheap, so callers check before the
+    cut."""
+    if len(polys) != m:
+        raise WrongCountError(f"need exactly {m} hypersurfaces in P^{m}, "
+                              f"got {len(polys)}")
+    if any(p.is_zero() for p in polys):
+        raise WrongCountError("the zero polynomial cuts out no hypersurface")
+    degrees = tuple(p.degree() for p in polys)
+    if prod(degrees) >= 10 ** MAX_DIGITS:
+        raise SpaceTooLargeError(f"the product of the degrees has more than "
+                                 f"{MAX_DIGITS} digits")
+    return degrees
 
 
 def validate_ci(polys, pts: PointSet) -> CIValidation:
@@ -125,21 +167,11 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
     sum_i x_i dF/dx_i = deg F * F then makes column j of the Jacobian a
     combination of the others where x_j != 0, so its rank is that of the
     m x m minor without the first nonzero coordinate's column, whose
-    partials `Field.log_terms` compiles once.  A zero polynomial, and a
-    degree product of more than MAX_DIGITS digits, which `line` could not
-    print, are refused first.
+    partials `Field.log_terms` compiles once.  `ci_degrees` refuses first.
     """
     m = pts.m
-    if len(polys) != m:
-        raise WrongCountError(f"need exactly {m} hypersurfaces in P^{m}, "
-                              f"got {len(polys)}")
-    if any(p.is_zero() for p in polys):
-        raise WrongCountError("the zero polynomial cuts out no hypersurface")
-    degrees = tuple(p.degree() for p in polys)
+    degrees = ci_degrees(polys, m)
     expected = prod(degrees)
-    if expected >= 10 ** MAX_DIGITS:
-        raise SpaceTooLargeError(f"the product of the degrees has more than "
-                                 f"{MAX_DIGITS} digits")
     found = len(pts)
     split = found == expected
     field = pts.field

@@ -10,6 +10,9 @@ e // 2 base-p digits and by the rest.
 
 from __future__ import annotations
 
+import operator
+from itertools import repeat
+
 from .errors import (
     DivisionByZeroError,
     FieldTooLargeError,
@@ -234,6 +237,7 @@ class Field:
             log[v] = i
         self._exp = exp
         self._log = log
+        self._power_indices = {}  # k -> getter, filled by `line_values`
         self.multiplicative_generator = g
 
     # -- arithmetic --
@@ -303,6 +307,46 @@ class Field:
             else:
                 total = add(total, exp[lc % order])
         return total
+
+    def line_terms(self, terms):
+        """A polynomial's {exponents: nonzero coefficient} map as a sum
+        sum_k c_k * t^k along its last variable t: ((k, log_terms of c_k in
+        the other variables), ...), for `line_coefficients`.  A k > 0 is
+        reduced into 1..q-1, which leaves t^k unchanged on F_q, so terms
+        whose k agree mod q - 1 share one c_k."""
+        order, groups = self.q - 1, {}
+        for expo, c in terms.items():
+            k = expo[-1] and (expo[-1] - 1) % order + 1
+            group = groups.setdefault(k, {})
+            group[expo[:-1]] = self.add(group.get(expo[:-1], 0), c)
+        return tuple((k, self.log_terms({e: c for e, c in group.items() if c}))
+                     for k, group in groups.items())
+
+    def line_coefficients(self, line_terms, base) -> dict:
+        """{k: c_k} of `line_terms` at `base`, the other coordinates: one
+        `value` per c_k, and the k whose c_k vanishes left out."""
+        values = ((k, self.value(coefficient, base)) for k, coefficient in line_terms)
+        return {k: c for k, c in values if c}
+
+    def line_values(self, coefficients):
+        """sum_k c_k * t^k at t = 0, 1, ..., q - 1 for a nonempty {k: c_k}, one
+        list pass per k: c * t^k = exp[log c + k log t], read from the rotated
+        exp table by an index of k log t (and a 0 for t = 0) cached per k."""
+        q, exp, log, rows = self.q, self._exp, self._log, []
+        for k, c in coefficients.items():
+            index = self._power_indices.get(k)
+            if k and index is None:
+                tail = log[1:] if k == 1 else [k * x % (q - 1) for x in log[1:]]
+                index = self._power_indices[k] = operator.itemgetter(q - 1, *tail)
+            rows.append(index(exp[log[c]:] + exp[:log[c]] + [0]) if k else [c] * q)
+        values = rows.pop()
+        p = self.p  # F_p sums integers and reduces them once, after the last row
+        plus = operator.xor if p == 2 else operator.add if self.e == 1 else self.add
+        for row in rows:
+            values = list(map(plus, values, row))
+        if rows and plus is operator.add:
+            values = list(map(operator.mod, values, repeat(p)))
+        return values
 
     def from_int(self, n: int) -> int:
         """Reduce an integer literal into F_q (image of n under Z -> F_p <= F_q)."""

@@ -18,7 +18,7 @@ from .cohomology import (MAX_ELIMINATION_WORK, MAX_MATRIX_ENTRIES, CohomologyPro
                          profile, rank_e)
 from .cohomology import sigma  # noqa: F401 (perfbench/replay.py wraps theorems.sigma)
 from .errors import DegreeOutOfRangeError, NonSplitError, NotASubsetError, SpaceTooLargeError
-from .geometry import PointSet, validate_ci, variety_points
+from .geometry import PointSet, ci_degrees, validate_ci, variety_points
 from .linalg import insert, rank
 from .poly import monomial_count
 
@@ -34,7 +34,9 @@ class CISetup(namedtuple("CISetup", "gamma degrees s")):
 
 
 def ci_setup(polys, m: int, field) -> CISetup:
-    """Cut out Gamma and certify it; refuses non-split or singular inputs."""
+    """Cut out Gamma and certify it; refuses non-split or singular inputs,
+    and what `ci_degrees` refuses before the cut."""
+    ci_degrees(polys, m)
     gamma = variety_points(polys, m, field)
     val = validate_ci(polys, gamma)
     if not (val.split and val.smooth):

@@ -23,9 +23,12 @@ from cicodes import (
     FamilySpec,
     PointSet,
     ci_setup,
+    enumerate_projective,
     field_new,
+    parse,
 )
 from cicodes.cli import main
+from cicodes.errors import WrongCountError
 
 TWO_CONIC = """\
 # two conics in P^2 over F_5
@@ -487,6 +490,31 @@ def test_zero_polynomial_exit_2(write, capsys, command):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: the zero polynomial cuts out no hypersurface\n"
+
+
+def test_zero_polynomial_refused_before_the_cut(write, capsys, monkeypatch):
+    """`points` with fewer than m polynomials prints the cut of a zero one;
+    with m, on P^2(F_997), whose 995,007 points the cut would walk first,
+    `points` and `ci_setup` refuse it without calling variety_points."""
+    code, out = run(capsys, ["points", write("field p=5 e=1\nvars m=2\npoly 0\n")])
+    assert code == 0
+    assert out.splitlines() == [" ".join(map(str, pt))
+                                for pt in enumerate_projective(2, field_new(5, 1))]
+
+    def never(*args):
+        raise AssertionError("variety_points was called")
+
+    for module in (cicodes.cli, cicodes.theorems):
+        monkeypatch.setattr(module, "variety_points", never)
+    text = "field p=997 e=1\nvars m=2\npoly 0\npoly 0\n"
+    for argv in (["points"], ["points", "--require-ci"], ["hilbert"]):
+        assert main([argv[0], write(text), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the zero polynomial cuts out no hypersurface\n"
+    f997 = field_new(997, 1)
+    with pytest.raises(WrongCountError, match="^the zero polynomial cuts out no hypersurface$"):
+        ci_setup([parse("0", 2, f997)] * 2, 2, f997)
 
 
 def test_analyze_non_split(write, capsys):

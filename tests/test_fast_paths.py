@@ -1,5 +1,6 @@
 """Differential checks against the straightforward definitions: the
-log-domain monomial kernel behind every evaluation, the smoothness check on
+log-domain monomial kernel behind every evaluation, the variety cut along
+the lines of x_m against evaluating at every point, the smoothness check on
 the Euler minor against the full Jacobian rank, the upward sigma scan,
 the truncated profile and its product pass, the CB-scheme relations read
 from that pass, the CB sweep and the combination walks over incremental
@@ -152,6 +153,66 @@ def test_euler_minor_examples_cover_both_verdicts():
         gamma = variety_points(polys, len(texts), f5)
         assert any(pt[0] == 0 for pt in gamma) is on_x0_0
         assert validate_ci(polys, gamma).smooth is smooth is smooth_reference(polys, gamma)
+
+
+def cut_reference(polys, m, field):
+    """Every point of P^m, in order, at which every polynomial evaluates to 0."""
+    return [pt for pt in enumerate_projective(m, field)
+            if all(f.evaluate(pt) == 0 for f in polys)]
+
+
+@st.composite
+def sparse_forms(draw):
+    """1..3 homogeneous forms in P^m, m = 1..3, over one of CI_FIELDS, of
+    degree 1..q+1 with 1..4 terms.  The exponent of x_m is drawn from 0,
+    q - 1, q and d often, and a term's other exponents fall on x_0..x_{m-1}
+    at random, so x_0 is often absent: points with leading zeros, and the
+    point (0:...:0:1), lie on Gamma."""
+    q = draw(st.sampled_from(sorted(CI_FIELDS)))
+    m = draw(st.integers(1, 3))
+    field = CI_FIELDS[q]
+    texts = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, q + 1))
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            k = min(d, draw(st.one_of(st.sampled_from([0, q - 1, q, d]), st.integers(0, d))))
+            cuts = sorted(draw(st.lists(st.integers(0, d - k), min_size=m - 1, max_size=m - 1)))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, d - k])]
+            terms[(*parts, k)] = draw(st.integers(1, q - 1))
+        texts.append(poly_text(Polynomial(field, m + 1, terms)))
+    return q, m, texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sparse_forms())
+@example(case=(5, 2, ["x0*x1 - x1^2", "x0^2 - x1^2"]))  # no x_m; (0:0:1) on Gamma
+@example(case=(5, 1, ["x1^4 - x0^4"]))  # x_m^(q-1): 1 at t != 0, 0 at t = 0
+@example(case=(9, 1, ["x1^9 - x0^8*x1"]))  # x_m^q = t: all of F_9
+@example(case=(4, 2, ["x2^3 + x0^2*x1", "x2^4 + x1^3*x2"]))  # both, over F_4
+@example(case=(7, 3, ["x0*x3", "x1*x2 - x3^2"]))  # leading zeros in P^3
+@example(case=(5, 2, ["x1^2 - 2*x0^2", "x2"]))  # 2 is no square mod 5: empty Gamma
+def test_line_cut_matches_the_per_point_cut(case):
+    """variety_points, which walks the lines along x_m, against evaluating
+    every polynomial at every point of enumerate_projective: the same points
+    in the same order."""
+    q, m, texts = case
+    field = CI_FIELDS[q]
+    polys = [parse(text, m, field) for text in texts]
+    assert list(variety_points(polys, m, field)) == cut_reference(polys, m, field)
+
+
+def test_line_cut_examples_cover_the_edges():
+    """The examples above reach (0:...:0:1), leading zeros, and an empty Gamma."""
+    def cut(q, m, texts):
+        field = CI_FIELDS[q]
+        return list(variety_points([parse(t, m, field) for t in texts], m, field))
+    no_x2 = cut(5, 2, ["x0*x1 - x1^2", "x0^2 - x1^2"])
+    assert no_x2 == [(0, 0, 1)] + [(1, 1, t) for t in range(5)]
+    assert cut(5, 1, ["x1^4 - x0^4"]) == [(1, t) for t in range(1, 5)]
+    assert cut(9, 1, ["x1^9 - x0^8*x1"]) == [(1, t) for t in range(9)]
+    assert (0, 1, 0, 0) in cut(7, 3, ["x0*x3", "x1*x2 - x3^2"])
+    assert cut(5, 2, ["x1^2 - 2*x0^2", "x2"]) == []
 
 
 def sigma_reference(gamma):
