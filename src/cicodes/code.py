@@ -19,8 +19,8 @@ F0_TRIALS = 10 ** 4  # forms choose_f0 tries before it gives up
 
 
 def _monomial_row(point, monomials, field):
-    """Evaluations of the listed monomials at one point."""
-    return tuple(field.monomial(point, expo) for expo in monomials)
+    """Evaluations at one point of the listed monomials, each a compiled term."""
+    return tuple(field.value(term, point) for term in monomials)
 
 
 def _point_row(point, a, m, field):
@@ -30,9 +30,11 @@ def _point_row(point, a, m, field):
 
 def point_rows(gamma: PointSet, a: int):
     """The point rows of e_a, each built when it is asked for.  The degree-a
-    monomials are listed once, and not at all when Gamma is empty."""
+    monomials are listed and compiled once, and not at all when Gamma is empty."""
+    field = gamma.field
     monomials = monomials_of_degree(gamma.m, a) if len(gamma) else ()
-    return (_monomial_row(pt, monomials, gamma.field) for pt in gamma)
+    terms = [(term,) for term in field.log_terms(dict.fromkeys(monomials, 1))]
+    return (_monomial_row(pt, terms, field) for pt in gamma)
 
 
 class EvalMatrix(namedtuple("EvalMatrix", "rows degree m field")):

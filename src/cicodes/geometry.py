@@ -76,17 +76,10 @@ def check_space(m: int, q: int) -> int:
 
 
 def enumerate_projective(m: int, field: Field) -> PointSet:
-    """All points of P^m(F_q) in lexicographic order of normalized encodings."""
-    q = field.q
-    check_space(m, q)
-    points = []
-    # First nonzero coordinate is 1 at position `lead`; lex order on the
-    # full coordinate tuple means larger lead (more leading zeros) sorts first.
-    for lead in range(m, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(q), repeat=m - lead):
-            points.append(prefix + tail)
-    return PointSet(tuple(points), m, field)
+    """All points of P^m(F_q) in lexicographic order of normalized encodings:
+    the cut of no polynomial."""
+    check_space(m, field.q)
+    return PointSet(tuple(_zeros((), m, field)), m, field)
 
 
 def variety_points(polys, m: int, field: Field) -> PointSet:
@@ -106,16 +99,16 @@ def variety_points(polys, m: int, field: Field) -> PointSet:
 
 
 def _zeros(polys, m: int, field: Field):
-    """The common zeros: (0:...:0:1) on its own, then each line x_0..x_{m-1}
-    fixed, x_m = t, along which a polynomial is sum_k c_k t^k
-    (`Field.line_terms`): one scalar per c_k, and one list pass per k for
-    the t where all vanish.  A generator, so that `variety_points` builds
-    its tuple with no list in between."""
+    """The common zeros of homogeneous polynomials, in lexicographic order:
+    (0:...:0:1) first, a zero when every c_k below vanishes at x_0 = ... =
+    x_{m-1} = 0, then each line x_0..x_{m-1} fixed, x_m = t, along which a
+    polynomial is sum_k c_k t^k (`Field.line_terms`): one scalar per c_k,
+    and one list pass per k for the t where all vanish.  A generator, so
+    that `variety_points` builds its tuple with no list in between."""
     lines = [field.line_terms(poly.terms) for poly in polys]
     elements = tuple(range(field.q))  # one int object per element, shared by the points
-    unit = (0,) * m + (1,)
-    if all(poly.evaluate(unit) == 0 for poly in polys):
-        yield unit
+    if not any(field.line_coefficients(line, (0,) * m) for line in lines):
+        yield (0,) * m + (1,)
     for lead in range(m - 1, -1, -1):
         prefix = (0,) * lead + (1,)
         for head in product(elements, repeat=m - 1 - lead):

@@ -2,8 +2,9 @@
 
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
-i.e. x = sum c_i * w^i.  Products, inverses, powers, monomials, compiled
-polynomial terms and negatives are lookups in log/antilog tables; addition
+i.e. x = sum c_i * w^i.  Products, inverses, powers, negatives and the
+value of compiled polynomial terms at a point (`value`, which evaluates
+every polynomial and monomial) are lookups in log/antilog tables; addition
 is mod p (e = 1), XOR (p = 2), or else the sum of two lookups, by the low
 e // 2 base-p digits and by the rest.
 """
@@ -278,16 +279,6 @@ class Field:
             return 0 if n else 1
         return self._exp[self._log[a] * n % (self.q - 1)]
 
-    def monomial(self, point, expo) -> int:
-        """The product of the x_i^k_i (k_i >= 0) over the coordinates: one sum of logs."""
-        log, total = self._log, 0
-        for x, k in zip(point, expo):
-            if k:
-                if x == 0:
-                    return 0
-                total += k * log[x]
-        return self._exp[total % (self.q - 1)]
-
     def log_terms(self, terms):
         """A polynomial's {exponents: nonzero coefficient} map as (log c,
         ((i, k), ...)) pairs with every k > 0: compiled once for `value`."""
@@ -295,8 +286,8 @@ class Field:
                 for expo, c in terms.items()]
 
     def value(self, log_terms, point) -> int:
-        """The sum of `log_terms` at a point, each term one sum of logs as in
-        `monomial`."""
+        """The sum of `log_terms` at a point, each term one sum of logs: the
+        one evaluation of a polynomial or a monomial at a point."""
         log, exp, add, order = self._log, self._exp, self.add, self.q - 1
         total = 0
         for lc, factors in log_terms:

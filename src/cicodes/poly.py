@@ -129,11 +129,7 @@ class Polynomial:
         if len(point) != self.nvars:
             raise FieldMismatchError(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        f = self.field
-        total = 0
-        for expo, coef in self.terms.items():
-            total = f.add(total, f.mul(coef, f.monomial(point, expo)))
-        return total
+        return self.field.value(self.field.log_terms(self.terms), point)
 
     def partial_derivative(self, var: int):
         """Formal partial derivative; exponent multiples of char p vanish."""
@@ -230,7 +226,7 @@ def _tokenize(text):
 
 
 MAX_NESTING = 100  # parenthesis depth; keeps the recursive descent off Python's limit
-MAX_TERM_PAIRS = 10 ** 5  # term products in one multiplication; bounds parse time
+MAX_TERM_PAIRS = 10 ** 6  # term products in all of one polynomial's multiplications
 
 
 class _Parser:
@@ -238,6 +234,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.pairs = 0  # term products so far, against MAX_TERM_PAIRS
         self.m = m
         self.field = field
 
@@ -250,16 +247,15 @@ class _Parser:
         return tok
 
     def expr(self):
-        if self.peek() == "-":
-            self.next()
-            result = -self.term()
-        else:
-            result = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
+        """A sum of terms, added into one map: no copy per term."""
+        field, terms = self.field, {}
+        sign = self.next() if self.peek() == "-" else "+"
+        while sign:
             t = self.term()
-            result = result + t if op == "+" else result - t
-        return result
+            for expo, c in (t if sign == "+" else -t).terms.items():
+                terms[expo] = field.add(terms.get(expo, 0), c)
+            sign = self.next() if self.peek() in ("+", "-") else None
+        return Polynomial(field, self.m + 1, terms)
 
     def term(self):
         result = self.factor()
@@ -279,13 +275,14 @@ class _Parser:
                          Polynomial.constant(self.field, self.m + 1, 1))
         return base
 
-    @staticmethod
-    def mul(left, right):
+    def mul(self, left, right):
+        # a product of two monomials is not counted: the text bounds how many there are
         pairs = len(left.terms) * len(right.terms)
-        if pairs > MAX_TERM_PAIRS:
+        self.pairs += pairs if pairs > 1 else 0
+        if self.pairs > MAX_TERM_PAIRS:
             raise PolySyntaxError(
-                f"product of {len(left.terms)} and {len(right.terms)} terms "
-                f"exceeds {MAX_TERM_PAIRS} term pairs")
+                f"product of {len(left.terms)} and {len(right.terms)} terms takes "
+                f"the polynomial past {MAX_TERM_PAIRS} term pairs")
         return left * right
 
     def atom(self):

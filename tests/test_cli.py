@@ -137,13 +137,26 @@ def test_huge_monomial_exponent_parses_fast(write, capsys):
     assert out.splitlines()[-1].startswith("expected=2000000 found=4 ")
 
 
-def test_huge_power_of_sum_exit_2(write, capsys):
-    code = main(["points", write("field p=5 e=1\nvars m=1\npoly (x0 + x1)^2000000\n")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: product of ")
-    assert captured.err.count("\n") == 1
+def test_huge_power_of_sum_parses(write, capsys):
+    """(x0 + x1)^2000000 over F_5 keeps 8 terms by Frobenius: 680,615 term
+    pairs in all, under the bound."""
+    code, out = run(capsys, ["points", write("field p=5 e=1\nvars m=1\n"
+                                             "poly (x0 + x1)^2000000\n")])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("expected=2000000 ")
+
+
+def test_repeated_squaring_bounded_exit_2(write):
+    """316 terms over F_2 stay 316 under every squaring, 99,856 pairs each:
+    the bound on the whole polynomial stops the 14,000 squarings of
+    ^2^14000 after a few."""
+    base = " + ".join(f"x0^{i}" for i in range(1, 317))
+    proc = run_child(["points", write(f"field p=2 e=1\nvars m=1\n"
+                                      f"poly ({base})^{2 ** 14000}\npoly x1\n")],
+                     timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: product of ") and proc.stderr.count("\n") == 1
 
 
 def test_points_cut_work_limit_exit_2(write):

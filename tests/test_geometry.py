@@ -1,5 +1,7 @@
 """Projective point enumeration and complete-intersection validation."""
 
+from itertools import product
+
 import pytest
 
 from cicodes import (
@@ -29,14 +31,18 @@ def test_projective_counts(m, q_spec, expected):
 
 
 def test_points_normalized_distinct_sorted():
-    field = field_new(3, 1)
-    pts = enumerate_projective(2, field)
-    seen = set(pts.points)
-    assert len(seen) == len(pts)
-    for pt in pts:
-        nz = [c for c in pt if c]
-        assert nz and nz[0] == 1
-    assert list(pts.points) == sorted(pts.points)
+    """Normalized, distinct, sorted and (q^(m+1) - 1)/(q - 1) in number: that
+    fixes the list, without the walk that makes it."""
+    for (p, e), m in product([(2, 1), (2, 2), (5, 1), (3, 2)], [1, 2, 3]):
+        field = field_new(p, e)
+        q = field.q
+        pts = enumerate_projective(m, field)
+        assert len(set(pts.points)) == len(pts) == (q ** (m + 1) - 1) // (q - 1)
+        for pt in pts:
+            assert len(pt) == m + 1 and all(0 <= c < q for c in pt)
+            nz = [c for c in pt if c]
+            assert nz and nz[0] == 1
+        assert list(pts.points) == sorted(pts.points)
 
 
 def test_space_too_large():

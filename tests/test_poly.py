@@ -1,5 +1,6 @@
 """Polynomial parsing, evaluation, products, derivatives, monomial order."""
 
+import time
 from itertools import product
 from math import comb
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cicodes import Polynomial, field_new, monomials_of_degree, parse, poly_text
 from cicodes.errors import PolySyntaxError, UnknownVariableError
+from cicodes.poly import _Parser, _tokenize
 
 
 def random_poly(field, nvars, draw_coef, max_terms=4, max_exp=3):
@@ -63,6 +65,33 @@ def test_parse_empty_and_garbage():
 def test_parse_4000_digit_exponent():
     big = "9" * 4000
     assert parse(f"x1^{big}", 2, field_new(5, 1)).degree() == int(big)
+
+
+def test_long_sum_parses_in_linear_time():
+    """20,000 terms are added into one map: a copy of the sum per term is
+    quadratic, about 20 s here."""
+    n = 20000
+    text = " + ".join(f"x0^{i}*x1^{n - i}" for i in range(n))
+    start = time.perf_counter()
+    poly = parse(text, 1, field_new(5, 1))
+    assert time.perf_counter() - start < 8
+    assert len(poly.terms) == n and poly.degree() == n
+
+
+def test_monomial_products_are_not_counted():
+    """The term-pair bound counts the products of sums: (x0 + x1)^2 is 1 x 2
+    then 2 x 2 pairs.  The 1 x 1 products of a monomial's power are left out,
+    since the text bounds how many there are."""
+    parser = _Parser(_tokenize("x0^99999*x1 + (x0 + x1)^2"), 1, field_new(5, 1))
+    assert len(parser.expr().terms) == 4
+    assert parser.pairs == 6
+
+
+def test_signs_of_a_sum():
+    f5 = field_new(5, 1)
+    assert parse("-x0 + x1 - x0 - 2*x1 + 2*x0", 1, f5) == parse("4*x1", 1, f5)
+    assert parse("-x0", 1, f5) == parse("4*x0", 1, f5)
+    assert parse("x0 - x0", 1, f5).is_zero()
 
 
 def test_zero_constant_allowed():
