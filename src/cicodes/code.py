@@ -8,7 +8,8 @@ from copy import copy
 from itertools import tee
 from math import comb
 
-from .errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
+from .errors import (CapExceededError, FieldMismatchError, NoNormalizerFoundError,
+                     NormalizerVanishesError)
 from .geometry import PointSet
 from .linalg import nullspace, rref
 from .poly import Polynomial, monomial_count, monomials_of_degree
@@ -75,7 +76,8 @@ def choose_f0(gamma: PointSet, a: int) -> Polynomial:
         cand = Polynomial(field, nvars, terms)
         if cand.is_zero():
             continue
-        if all(cand.evaluate(pt) != 0 for pt in gamma):
+        compiled = field.log_terms(cand.terms)
+        if all(field.value(compiled, pt) for pt in gamma):
             return cand
     raise NoNormalizerFoundError(
         f"no degree-{a} form nonvanishing on all {len(gamma)} points "
@@ -106,9 +108,11 @@ def build_code(gamma: PointSet, a: int, f0: Polynomial = None) -> EvalCode:
     # spanning vectors of the code: one per monomial, coordinates per point
     spanning = list(zip(*point_rows(gamma, a)))
     if f0 is not None:
-        scalers = []
+        if len(gamma) and f0.nvars != gamma.m + 1:
+            raise FieldMismatchError(f"point has {gamma.m + 1} coordinates, expected {f0.nvars}")
+        compiled, scalers = field.log_terms(f0.terms), []
         for pt in gamma:
-            v = f0.evaluate(pt)
+            v = field.value(compiled, pt)
             if v == 0:
                 raise NormalizerVanishesError(f"f0 vanishes at {pt}")
             scalers.append(field.inv(v))

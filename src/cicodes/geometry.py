@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import chain, groupby, product
 from math import prod
 
 from .errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
@@ -85,7 +85,10 @@ def enumerate_projective(m: int, field: Field) -> PointSet:
 def variety_points(polys, m: int, field: Field) -> PointSet:
     """Common zero locus in P^m(F_q) of a list of homogeneous polynomials, in
     the order of `enumerate_projective`.  Refuses a cut whose points times
-    (1 + terms) pass MAX_CUT_WORK, an upper bound on its work."""
+    (1 + terms) pass MAX_CUT_WORK, its work within a constant factor: per
+    line of q points, one `value` and at most one q-list per term, and one
+    q-list per nonzero polynomial (zero ones are dropped).  The field's per-k
+    index cache gains at most (groups of k) x q <= MAX_CUT_WORK entries."""
     for poly in polys:
         if not poly.is_homogeneous():
             raise NonHomogeneousError(f"not homogeneous: {poly}")
@@ -99,30 +102,21 @@ def variety_points(polys, m: int, field: Field) -> PointSet:
 
 
 def _zeros(polys, m: int, field: Field):
-    """The common zeros of homogeneous polynomials, in lexicographic order:
-    (0:...:0:1) first, a zero when every c_k below vanishes at x_0 = ... =
-    x_{m-1} = 0, then each line x_0..x_{m-1} fixed, x_m = t, along which a
-    polynomial is sum_k c_k t^k (`Field.line_terms`): one scalar per c_k,
-    and one list pass per k for the t where all vanish.  A generator, so
-    that `variety_points` builds its tuple with no list in between."""
-    lines = [field.line_terms(poly.terms) for poly in polys]
+    """The common zeros of homogeneous polynomials in lexicographic order,
+    line by line along x_m: on the line x_0..x_{m-1} = base, x_m = t, the t
+    where the `Field.line_values` of every nonzero polynomial vanish, and
+    (0:...:0:1) first, as t = 1 on the line of base 0.  A generator, so that
+    `variety_points` builds its tuple with no list in between."""
+    lines = [field.line_terms(poly.terms) for poly in polys if not poly.is_zero()]
     elements = tuple(range(field.q))  # one int object per element, shared by the points
-    if not any(field.line_coefficients(line, (0,) * m) for line in lines):
-        yield (0,) * m + (1,)
-    for lead in range(m - 1, -1, -1):
-        prefix = (0,) * lead + (1,)
-        for head in product(elements, repeat=m - 1 - lead):
-            base = prefix + head
-            along = [field.line_coefficients(line, base) for line in lines]
-            if any(coefficients.keys() == {0} for coefficients in along):
-                continue  # a nonzero constant on this line
-            ts = elements
-            for coefficients in along:
-                if coefficients:
-                    values = field.line_values(coefficients)
-                    ts = [t for t in ts if not values[t]]
-            for t in ts:
-                yield base + (t,)
+    walk = (((0,) * lead + (1,) + head, elements) for lead in range(m - 1, -1, -1)
+            for head in product(elements, repeat=m - 1 - lead))
+    for base, ts in chain([((0,) * m, (1,))], walk):
+        for line in lines:
+            values = field.line_values(line, base)
+            ts = [t for t in ts if not values[t]]
+        for t in ts:
+            yield base + (t,)
 
 
 class CIValidation(namedtuple("CIValidation", "degrees expected found split smooth")):
@@ -159,23 +153,25 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
     Precondition: `pts` are common zeros of `polys`.  Euler's relation
     sum_i x_i dF/dx_i = deg F * F then makes column j of the Jacobian a
     combination of the others where x_j != 0, so its rank is that of the
-    m x m minor without the first nonzero coordinate's column, whose
-    partials `Field.log_terms` compiles once.  `ci_degrees` refuses first.
+    m x m minor without the first nonzero coordinate's column.  The points
+    are grouped by x_0..x_{m-1}, the cut's lines, and each group reads its
+    minors from m^2 `Field.line_values` of the partials, compiled once by
+    `Field.line_terms`.  `ci_degrees` refuses first.
     """
-    m = pts.m
+    m, field = pts.m, pts.field
     degrees = ci_degrees(polys, m)
-    expected = prod(degrees)
-    found = len(pts)
-    split = found == expected
-    field = pts.field
-    jac = [[field.log_terms(p.partial_derivative(v).terms) for v in range(m + 1)]
+    expected, found = prod(degrees), len(pts)
+    jac = [[field.line_terms(p.partial_derivative(v).terms) for v in range(m + 1)]
            for p in polys]
-    minors = [[row[:j] + row[j + 1:] for row in jac] for j in range(m + 1)]
 
-    def regular(pt):
-        rows = [[field.value(t, pt) for t in row]
-                for row in minors[next(j for j, x in enumerate(pt) if x)]]
-        return rows[0][0] != 0 if m == 1 else matrix_rank(rows, field) == m
+    def regular(base, group):
+        j = next((j for j, x in enumerate(base) if x), m)
+        lines = [[field.line_values(row[v], base) for v in range(m + 1) if v != j]
+                 for row in jac]
+        if m == 1:  # the minor is one partial: nonzero, with no elimination
+            return all(lines[0][0][pt[1]] for pt in group)
+        return all(matrix_rank([[values[pt[m]] for values in row] for row in lines],
+                               field) == m for pt in group)
 
-    smooth = all(regular(pt) for pt in pts)
-    return CIValidation(degrees, expected, found, split, smooth)
+    smooth = all(regular(base, group) for base, group in groupby(pts, lambda pt: pt[:m]))
+    return CIValidation(degrees, expected, found, found == expected, smooth)

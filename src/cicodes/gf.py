@@ -3,10 +3,10 @@
 Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
 i.e. x = sum c_i * w^i.  Products, inverses, powers, negatives and the
-value of compiled polynomial terms at a point (`value`, which evaluates
-every polynomial and monomial) are lookups in log/antilog tables; addition
-is mod p (e = 1), XOR (p = 2), or else the sum of two lookups, by the low
-e // 2 base-p digits and by the rest.
+values of compiled polynomial terms at a point (`value`) or along a line
+(`line_values`) are lookups in log/antilog tables; addition is mod p
+(e = 1), XOR (p = 2), or else the sum of two lookups, by the low e // 2
+base-p digits and by the rest.
 """
 
 from __future__ import annotations
@@ -302,9 +302,9 @@ class Field:
     def line_terms(self, terms):
         """A polynomial's {exponents: nonzero coefficient} map as a sum
         sum_k c_k * t^k along its last variable t: ((k, log_terms of c_k in
-        the other variables), ...), for `line_coefficients`.  A k > 0 is
-        reduced into 1..q-1, which leaves t^k unchanged on F_q, so terms
-        whose k agree mod q - 1 share one c_k."""
+        the other variables), ...), for `line_values`.  A k > 0 is reduced
+        into 1..q-1, which leaves t^k unchanged on F_q, so terms whose k
+        agree mod q - 1 share one c_k."""
         order, groups = self.q - 1, {}
         for expo, c in terms.items():
             k = expo[-1] and (expo[-1] - 1) % order + 1
@@ -313,24 +313,22 @@ class Field:
         return tuple((k, self.log_terms({e: c for e, c in group.items() if c}))
                      for k, group in groups.items())
 
-    def line_coefficients(self, line_terms, base) -> dict:
-        """{k: c_k} of `line_terms` at `base`, the other coordinates: one
-        `value` per c_k, and the k whose c_k vanishes left out."""
-        values = ((k, self.value(coefficient, base)) for k, coefficient in line_terms)
-        return {k: c for k, c in values if c}
-
-    def line_values(self, coefficients):
-        """sum_k c_k * t^k at t = 0, 1, ..., q - 1 for a nonempty {k: c_k}, one
-        list pass per k: c * t^k = exp[log c + k log t], read from the rotated
-        exp table by an index of k log t (and a 0 for t = 0) cached per k."""
+    def line_values(self, line_terms, base):
+        """sum_k c_k * t^k at t = 0, 1, ..., q - 1 on the line x_0..x_{m-1} =
+        base, x_m = t: one `value` per c_k at `base`, then one list pass per
+        nonzero c_k, c * t^k = exp[log c + k log t], read from the rotated exp
+        table by an index of k log t (and a 0 for t = 0) cached per k."""
         q, exp, log, rows = self.q, self._exp, self._log, []
-        for k, c in coefficients.items():
+        for k, terms in line_terms:
+            c = self.value(terms, base)
+            if not c:
+                continue
             index = self._power_indices.get(k)
             if k and index is None:
                 tail = log[1:] if k == 1 else [k * x % (q - 1) for x in log[1:]]
                 index = self._power_indices[k] = operator.itemgetter(q - 1, *tail)
             rows.append(index(exp[log[c]:] + exp[:log[c]] + [0]) if k else [c] * q)
-        values = rows.pop()
+        values = rows.pop() if rows else [0] * q
         p = self.p  # F_p sums integers and reduces them once, after the last row
         plus = operator.xor if p == 2 else operator.add if self.e == 1 else self.add
         for row in rows:

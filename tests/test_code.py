@@ -21,7 +21,8 @@ from cicodes import (
     weight_distribution,
 )
 from cicodes.code import _point_row
-from cicodes.errors import CapExceededError, NoNormalizerFoundError, NormalizerVanishesError
+from cicodes.errors import (CapExceededError, FieldMismatchError, NoNormalizerFoundError,
+                            NormalizerVanishesError)
 from cicodes.geometry import PointSet
 
 
@@ -171,6 +172,16 @@ def test_normalizer_vanishes(f3):
     bad = parse("x1", 2, f3)
     with pytest.raises(NormalizerVanishesError):
         build_code(pts, 1, f0=bad)
+
+
+def test_normalizer_arity(f3):
+    """f0 in three variables on P^1: refused as `Polynomial.evaluate` would
+    refuse a point of two coordinates, but not on an empty Gamma, where f0
+    is evaluated nowhere."""
+    f0 = parse("x0 + x1 + x2", 2, f3)
+    with pytest.raises(FieldMismatchError, match="^point has 2 coordinates, expected 3$"):
+        build_code(enumerate_projective(1, f3), 1, f0=f0)
+    assert build_code(PointSet((), 1, f3), 1, f0=f0).k == 0
 
 
 # -- code parameters --

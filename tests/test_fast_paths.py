@@ -1,12 +1,14 @@
 """Differential checks against the straightforward definitions: the
-log-domain monomial kernel behind every evaluation, the variety cut along
-the lines of x_m against evaluating at every point, the smoothness check on
-the Euler minor against the full Jacobian rank, the upward sigma scan,
-the truncated profile and its product pass, the CB-scheme relations read
-from that pass, the CB sweep and the combination walks over incremental
-echelon bases, rank and RREF by row insertion, the one codeword walk against
-encoding each message, the minimum distance folded over it, and the
-Brouwer-Zimmermann search and column count against its weights."""
+log-domain monomial kernel behind every evaluation, the values along a line
+of x_m against the value at each of its points, the variety cut along the
+lines of x_m against evaluating at every point, the smoothness check on
+the Euler minor against the full Jacobian rank and point by point, the
+upward sigma scan, the truncated profile and its product pass, the
+CB-scheme relations read from that pass, the CB sweep and the combination
+walks over incremental echelon bases, rank and RREF by row insertion, the
+one codeword walk against encoding each message, the minimum distance
+folded over it, and the Brouwer-Zimmermann search and column count against
+its weights."""
 
 import random
 import sys
@@ -139,7 +141,11 @@ def test_smooth_on_the_euler_minor_matches_the_jacobian(case):
     m, field = len(texts), CI_FIELDS[q]
     polys = [parse(text, m, field) for text in texts]
     gamma = variety_points(polys, m, field)
-    assert validate_ci(polys, gamma).smooth == smooth_reference(polys, gamma)
+    smooth = validate_ci(polys, gamma).smooth
+    assert smooth == smooth_reference(polys, gamma)
+    # groups of one point each, (0:...:0:1) alone in the group of base 0
+    assert smooth == all(validate_ci(polys, PointSet((pt,), m, field)).smooth
+                         for pt in gamma)
 
 
 def test_euler_minor_examples_cover_both_verdicts():
@@ -183,6 +189,51 @@ def sparse_forms(draw):
     return q, m, texts
 
 
+@st.composite
+def lines_of_forms(draw):
+    """sparse_forms and the base x_0..x_{m-1} of a line along x_m, its
+    coordinates 0 drawn often: base 0, and lines on which a form is a
+    nonzero constant or vanishes identically, come up."""
+    q, m, texts = draw(sparse_forms())
+    coord = st.one_of(st.just(0), st.integers(0, q - 1))
+    return q, m, texts, tuple(draw(st.lists(coord, min_size=m, max_size=m)))
+
+
+LINE_EXAMPLES = (
+    (5, 2, ["x0^2 + x1^2"], (1, 1)),  # no x_2: the nonzero constant 2
+    (5, 2, ["x0*x2^3 - x1*x2^3"], (1, 1)),  # c_3 = x0 - x1 = 0: identically 0
+    (9, 1, ["x1^9 - x0^8*x1"], (0,)),  # base 0: x_1^9 = t, so the values are t
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lines_of_forms())
+@example(case=LINE_EXAMPLES[0])
+@example(case=LINE_EXAMPLES[1])
+@example(case=LINE_EXAMPLES[2])
+def test_line_values_match_the_value_at_each_point(case):
+    """Field.line_values of the compiled line_terms, the q values along the
+    line x_0..x_{m-1} = base, x_m = t, against Field.value of log_terms at
+    each point base + (t,)."""
+    q, m, texts, base = case
+    field = CI_FIELDS[q]
+    for text in texts:
+        terms = parse(text, m, field).terms
+        expected = [field.value(field.log_terms(terms), base + (t,)) for t in range(q)]
+        assert list(field.line_values(field.line_terms(terms), base)) == expected
+
+
+def test_line_values_examples_cover_the_cut_cases():
+    """The examples above are the lines the cut once treated apart: a
+    nonzero constant, an identically zero polynomial, and the base 0."""
+    def along(q, m, texts, base):
+        field = CI_FIELDS[q]
+        return list(field.line_values(field.line_terms(parse(texts[0], m, field).terms), base))
+    assert along(*LINE_EXAMPLES[0]) == [2] * 5
+    assert along(*LINE_EXAMPLES[1]) == [0] * 5
+    assert along(*LINE_EXAMPLES[2]) == list(range(9))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=sparse_forms())
 @example(case=(5, 2, ["x0*x1 - x1^2", "x0^2 - x1^2"]))  # no x_m; (0:0:1) on Gamma
@@ -191,6 +242,7 @@ def sparse_forms(draw):
 @example(case=(4, 2, ["x2^3 + x0^2*x1", "x2^4 + x1^3*x2"]))  # both, over F_4
 @example(case=(7, 3, ["x0*x3", "x1*x2 - x3^2"]))  # leading zeros in P^3
 @example(case=(5, 2, ["x1^2 - 2*x0^2", "x2"]))  # 2 is no square mod 5: empty Gamma
+@example(case=(7, 2, ["0", "x0*x2 - x1^2", "0"]))  # zero polynomials restrict nothing
 def test_line_cut_matches_the_per_point_cut(case):
     """variety_points, which walks the lines along x_m, against evaluating
     every polynomial at every point of enumerate_projective: the same points

@@ -1,6 +1,7 @@
 """Projective point enumeration and complete-intersection validation."""
 
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 
@@ -13,6 +14,7 @@ from cicodes import (
 )
 from cicodes.errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
 from cicodes.geometry import PointSet, check_space
+from cicodes.gf import Field
 from cicodes.linalg import rank
 
 
@@ -82,6 +84,25 @@ def test_cut_work_limit():
                        "P\\^3\\(F_31\\) by 1771 terms would take more than 1000000 "
                        "point-term evaluations$"):
         variety_points([poly], 3, f31)
+
+
+def test_zero_polynomials_cost_the_cut_nothing():
+    """A zero polynomial has no terms, so MAX_CUT_WORK does not count it, and
+    restricts no line: the cut drops it before the walk and makes exactly
+    the `Field.line_values` calls of the other polynomials alone."""
+    f7 = field_new(7, 1)
+    f, zero = parse("x0*x2 - x1^2", 2, f7), parse("0", 2, f7)
+
+    def cut(polys):
+        with patch.object(Field, "line_values", autospec=True,
+                          side_effect=Field.line_values) as spy:
+            points = variety_points(polys, 2, f7)
+        return points, spy.call_count
+
+    alone = cut([f])
+    assert alone[1] == 1 + 7 + 1  # the line of base 0, then 7 + 1 more
+    for k in (1, 50):
+        assert cut([zero] * k + [f]) == cut([f] + [zero] * k) == alone
 
 
 def test_non_homogeneous_rejected():
