@@ -6,6 +6,8 @@ Variety file grammar (line oriented, '#' starts a comment):
     vars m=<int>
     poly <expression>
 
+One `field` and one `vars` line, each key once and no other key.
+
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 cap exceeded.
 A reader that closes stdout early (`cicodes cb ... | head -1`) leaves stderr
 empty; the exit is the command's own, or if it had not ended, 1 when `cb`
@@ -46,11 +48,24 @@ MAX_DEGREES = 10 ** 7  # degrees in one `cb` range
 VarietyFile = namedtuple("VarietyFile", "field m polys")
 
 
-def _parse_kv(parts):
+def _header(head, parts, needed, optional=()):
+    """A header line's key=value words: the integers of the keys it needs,
+    then the texts of its optional keys (None if absent).  Refuses a word
+    without '=', a missing or bad integer, then a key the directive does not
+    take and a key given twice."""
     bad = [part for part in parts if "=" not in part]
     if bad:
         raise ValueError(f"expected key=value, got {bad[0]!r}")
-    return dict(part.split("=", 1) for part in parts)
+    pairs = [part.split("=", 1) for part in parts]
+    kv = dict(pairs)
+    values = [read_int(key, kv.get(key)) for key in needed]
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key not in needed + optional:
+            raise ValueError(f"'{head}' takes no key {key!r}")
+        if key in keys[:i]:
+            raise ValueError(f"'{head}' gives {key}= twice")
+    return values + [kv.get(key) for key in optional]
 
 
 def load_variety_file(path: str) -> VarietyFile:
@@ -62,21 +77,19 @@ def load_variety_file(path: str) -> VarietyFile:
             if not line:
                 continue
             head, _, rest = line.partition(" ")
-            if head == "field":
-                kv = _parse_kv(rest.split())
-                modulus = None
-                if "modulus" in kv:
-                    modulus = [read_int("modulus", c)
-                               for c in kv["modulus"].split(",")]
-                field = field_new(read_int("p", kv.get("p")),
-                                  read_int("e", kv.get("e")), modulus)
-            elif head == "vars":
-                kv = _parse_kv(rest.split())
-                m = read_int("m", kv.get("m"))
+            if head == "field" and field is None:
+                p, e, modulus = _header(head, rest.split(), ("p", "e"), ("modulus",))
+                if modulus is not None:
+                    modulus = [read_int("modulus", c) for c in modulus.split(",")]
+                field = field_new(p, e, modulus)
+            elif head == "vars" and m is None:
+                (m,) = _header(head, rest.split(), ("m",))
                 if m < 1:
                     raise ValueError(f"vars m must be at least 1, got {m}")
             elif head == "poly":
                 poly_lines.append(rest)
+            elif head in ("field", "vars"):
+                raise ValueError(f"more than one {head!r} line")
             else:
                 raise ValueError(f"unknown directive {head!r}")
     if field is None or m is None:
@@ -93,8 +106,7 @@ def cmd_points(args) -> int:
     gamma = variety_points(vf.polys, vf.m, vf.field)
     # validated before any output, so a refusal leaves stdout empty
     val = validate_ci(vf.polys, gamma) if len(vf.polys) == vf.m else None
-    for pt in gamma:
-        print(" ".join(str(c) for c in pt))
+    sys.stdout.writelines(" ".join(map(str, pt)) + "\n" for pt in gamma)
     if val is not None:
         print(val.line())
         if args.require_ci and not (val.split and val.smooth):

@@ -87,8 +87,8 @@ def variety_points(polys, m: int, field: Field) -> PointSet:
     the order of `enumerate_projective`.  Refuses a cut whose points times
     (1 + terms) pass MAX_CUT_WORK, its work within a constant factor: per
     line of q points, one `value` and at most one q-list per term, and one
-    q-list per nonzero polynomial (zero ones are dropped).  The field's per-k
-    index cache gains at most (groups of k) x q <= MAX_CUT_WORK entries."""
+    q-list per nonzero polynomial (zero ones are dropped); the compiled lines'
+    (groups of k) x q <= MAX_CUT_WORK index entries are freed after the cut."""
     for poly in polys:
         if not poly.is_homogeneous():
             raise NonHomogeneousError(f"not homogeneous: {poly}")

@@ -4,9 +4,10 @@ Elements are plain ints in [0, q): the base-p encoding of the coefficient
 vector c0..c_{e-1} with respect to the residue w of the modulus variable,
 i.e. x = sum c_i * w^i.  Products, inverses, powers, negatives and the
 values of compiled polynomial terms at a point (`value`) or along a line
-(`line_values`) are lookups in log/antilog tables; addition is mod p
-(e = 1), XOR (p = 2), or else the sum of two lookups, by the low e // 2
-base-p digits and by the rest.
+(`line_values`, through an index compiled into the line) are lookups in
+the log/antilog tables, all that a field holds; addition is XOR (p = 2),
+mod p (e = 1), or else the sum of two lookups, by the low e // 2 base-p
+digits and by the rest.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ class Field:
         """
         p, e, q = self.p, self.e, self.q
         base = p ** (e // 2)
-        if e == 1:
+        if p == 2:
+            self.add = operator.xor
+        elif e == 1:
             self.add = lambda a, b: (a + b) % p
-        elif p == 2:
-            self.add = lambda a, b: a ^ b
         else:  # a + b = low[a_lo][b_lo] + high[a_hi][b_hi], split at p^(e//2)
             low = [[self._add_digits(a, b) for b in range(base)] for a in range(base)]
             high = [[base * self._add_digits(a, b) for b in range(q // base)]
@@ -238,7 +239,6 @@ class Field:
             log[v] = i
         self._exp = exp
         self._log = log
-        self._power_indices = {}  # k -> getter, filled by `line_values`
         self.multiplicative_generator = g
 
     # -- arithmetic --
@@ -302,39 +302,38 @@ class Field:
     def line_terms(self, terms):
         """A polynomial's {exponents: nonzero coefficient} map as a sum
         sum_k c_k * t^k along its last variable t: ((k, log_terms of c_k in
-        the other variables), ...), for `line_values`.  A k > 0 is reduced
-        into 1..q-1, which leaves t^k unchanged on F_q, so terms whose k
-        agree mod q - 1 share one c_k."""
-        order, groups = self.q - 1, {}
+        the other variables, index), ...), for `line_values`.  A k > 0 is
+        reduced into 1..q-1, where t^k is unchanged, so equal powers share
+        one c_k.  The index, freed with the line, reads c * t^k at each t
+        from exp rotated by log c, 0 appended: at k log t, or at t = 0 the 0
+        (c for k = 0)."""
+        order, log, groups, line = self.q - 1, self._log, {}, []
         for expo, c in terms.items():
             k = expo[-1] and (expo[-1] - 1) % order + 1
             group = groups.setdefault(k, {})
             group[expo[:-1]] = self.add(group.get(expo[:-1], 0), c)
-        return tuple((k, self.log_terms({e: c for e, c in group.items() if c}))
-                     for k, group in groups.items())
+        for k, group in groups.items():  # the tail k log t, t != 0, with no sums for k < 2
+            tail = log[1:] if k == 1 else [k * x % order for x in log[1:]] if k else [0] * order
+            line.append((k, self.log_terms({e: c for e, c in group.items() if c}),
+                         operator.itemgetter(order if k else 0, *tail)))
+        return tuple(line)
 
     def line_values(self, line_terms, base):
-        """sum_k c_k * t^k at t = 0, 1, ..., q - 1 on the line x_0..x_{m-1} =
-        base, x_m = t: one `value` per c_k at `base`, then one list pass per
-        nonzero c_k, c * t^k = exp[log c + k log t], read from the rotated exp
-        table by an index of k log t (and a 0 for t = 0) cached per k."""
-        q, exp, log, rows = self.q, self._exp, self._log, []
-        for k, terms in line_terms:
+        """The list of sum_k c_k * t^k at t = 0, 1, ..., q - 1 on the line
+        x_0..x_{m-1} = base, x_m = t: one `value` per c_k at `base`, then
+        per nonzero c_k one pass of its index over the rotated exp table, and
+        the rows summed by `add`, or in F_p as integers reduced once."""
+        exp, log, rows = self._exp, self._log, []
+        for _, terms, index in line_terms:
             c = self.value(terms, base)
-            if not c:
-                continue
-            index = self._power_indices.get(k)
-            if k and index is None:
-                tail = log[1:] if k == 1 else [k * x % (q - 1) for x in log[1:]]
-                index = self._power_indices[k] = operator.itemgetter(q - 1, *tail)
-            rows.append(index(exp[log[c]:] + exp[:log[c]] + [0]) if k else [c] * q)
-        values = rows.pop() if rows else [0] * q
-        p = self.p  # F_p sums integers and reduces them once, after the last row
-        plus = operator.xor if p == 2 else operator.add if self.e == 1 else self.add
+            if c:
+                rows.append(index(exp[log[c]:] + exp[:log[c]] + [0]))
+        plus = operator.add if self.e == 1 else self.add
+        values = list(rows.pop()) if rows else [0] * self.q
         for row in rows:
             values = list(map(plus, values, row))
-        if rows and plus is operator.add:
-            values = list(map(operator.mod, values, repeat(p)))
+        if rows and self.e == 1:
+            values = list(map(operator.mod, values, repeat(self.p)))
         return values
 
     def from_int(self, n: int) -> int:

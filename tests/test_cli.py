@@ -217,6 +217,15 @@ LONG = "9" * 5000  # more digits than Python 3.11+ converts by default
     pytest.param("field e=1\nvars m=2", "missing p=<integer>", id="no-p"),
     pytest.param("field p=5\nvars m=2", "missing e=<integer>", id="no-e"),
     pytest.param("field p=5 e=1\nvars n=1", "missing m=<integer>", id="no-m"),
+    pytest.param("field p=5 e=1 modulos=2,1\nvars m=2", "'field' takes no key 'modulos'",
+                 id="unknown-field-key"),
+    pytest.param("field p=5 e=1\nvars m=2 n=7", "'vars' takes no key 'n'",
+                 id="unknown-vars-key"),
+    pytest.param("field p=5 e=1 p=7\nvars m=2", "'field' gives p= twice", id="twice-p"),
+    pytest.param("field p=5 e=1\nvars m=2\nfield p=7 e=1", "more than one 'field' line",
+                 id="two-field-lines"),
+    pytest.param("vars m=2\nfield p=5 e=1\nvars m=2", "more than one 'vars' line",
+                 id="two-vars-lines"),
 ])
 def test_bad_header_integer_exit_2(write, capsys, header, message):
     code = main(["points", write(f"{header}\npoly x0\npoly x1 - x0\n")])

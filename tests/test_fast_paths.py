@@ -220,7 +220,9 @@ def test_line_values_match_the_value_at_each_point(case):
     for text in texts:
         terms = parse(text, m, field).terms
         expected = [field.value(field.log_terms(terms), base + (t,)) for t in range(q)]
-        assert list(field.line_values(field.line_terms(terms), base)) == expected
+        values = field.line_values(field.line_terms(terms), base)
+        assert type(values) is list
+        assert values == expected
 
 
 def test_line_values_examples_cover_the_cut_cases():
@@ -228,7 +230,7 @@ def test_line_values_examples_cover_the_cut_cases():
     nonzero constant, an identically zero polynomial, and the base 0."""
     def along(q, m, texts, base):
         field = CI_FIELDS[q]
-        return list(field.line_values(field.line_terms(parse(texts[0], m, field).terms), base))
+        return field.line_values(field.line_terms(parse(texts[0], m, field).terms), base)
     assert along(*LINE_EXAMPLES[0]) == [2] * 5
     assert along(*LINE_EXAMPLES[1]) == [0] * 5
     assert along(*LINE_EXAMPLES[2]) == list(range(9))

@@ -1,6 +1,7 @@
 """Field arithmetic tests, checked against a brute-force polynomial oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -344,3 +345,20 @@ def test_power_is_repeated_mul():
         for n in range(41):
             assert power(x, n, mul, one) == product, n
             product = mul(product, x)
+
+
+def test_lines_leave_nothing_on_the_field():
+    """A compiled line holds its own index of k log t: after the lines of
+    x1^k + x0^k for k = 2..41 are evaluated and dropped, the field holds
+    no more than before (40 indexes of 4,095 entries would be about 6 MB)."""
+    field = Field(2, 12)
+    tracemalloc.start()
+    try:
+        for k in range(2, 42):
+            line = field.line_terms({(0, k): 1, (k, 0): 1})
+            assert field.line_values(line, (1,))[1] == 0  # 1^k + 1^k
+            del line
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
