@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Variety file grammar (line oriented, '#' starts a comment):
+Variety file grammar (line oriented, blanks or tabs after a directive, '#' starts a comment):
 
     field p=<int> e=<int> [modulus=<c0,c1,...,1>]
     vars m=<int>
@@ -76,7 +76,7 @@ def load_variety_file(path: str) -> VarietyFile:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            head, _, rest = line.partition(" ")
+            head, rest = (*line.split(None, 1), "")[:2]  # split at the first whitespace run
             if head == "field" and field is None:
                 p, e, modulus = _header(head, rest.split(), ("p", "e"), ("modulus",))
                 if modulus is not None:

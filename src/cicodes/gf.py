@@ -302,17 +302,19 @@ class Field:
     def line_terms(self, terms):
         """A polynomial's {exponents: nonzero coefficient} map as a sum
         sum_k c_k * t^k along its last variable t: ((k, log_terms of c_k in
-        the other variables, index), ...), for `line_values`.  A k > 0 is
-        reduced into 1..q-1, where t^k is unchanged, so equal powers share
-        one c_k.  The index, freed with the line, reads c * t^k at each t
-        from exp rotated by log c, 0 appended: at k log t, or at t = 0 the 0
-        (c for k = 0)."""
+        the other variables, index), ...), for `line_values`, with no triple
+        for a c_k that cancels.  A k > 0 is reduced into 1..q-1, where t^k is
+        unchanged, so equal powers share one c_k.  The index, freed with the
+        line, reads c * t^k at each t from exp rotated by log c, 0 appended:
+        at k log t, or at t = 0 the 0 (c for k = 0)."""
         order, log, groups, line = self.q - 1, self._log, {}, []
         for expo, c in terms.items():
             k = expo[-1] and (expo[-1] - 1) % order + 1
             group = groups.setdefault(k, {})
             group[expo[:-1]] = self.add(group.get(expo[:-1], 0), c)
         for k, group in groups.items():  # the tail k log t, t != 0, with no sums for k < 2
+            if not any(group.values()):
+                continue  # a c_k that cancels is 0 on every line: no group, no index
             tail = log[1:] if k == 1 else [k * x % order for x in log[1:]] if k else [0] * order
             line.append((k, self.log_terms({e: c for e, c in group.items() if c}),
                          operator.itemgetter(order if k else 0, *tail)))

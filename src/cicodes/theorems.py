@@ -112,25 +112,22 @@ def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5, seed: int = 0, 
                   certificate: CBCertificate) -> CBReport:
     """The identity over all subset splits, or a seeded sample when 2^n > budget (sizes
     0, 1, n-1, n always); walked unless `certificate` (for degrees holding a) certifies a.
-    A walk builds e_a and e_{s-a}, then inserts 2^(n+1) rows over all 2^n splits, or n
-    per split when sampled: `_check_matrices` refuses it first if that is too much."""
-    n, s, prof = setup.n, setup.s, certificate.profile
+    A walk builds e_a and e_{s-a}, then ranks each split's n rows on their own:
+    `_check_matrices` refuses it first if n inserts per split are too much."""
+    n, s = setup.n, setup.s
     splits = cb_split_count(n, budget)
     if certificate.certified(a):
         return CBReport(a, splits, (), 1 << n <= budget, seed)
-    _check_matrices(setup, a, (a, s - a), 2 * splits if splits == 1 << n else n * splits)
+    _check_matrices(setup, a, (a, s - a), n * splits)
     rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (s - a, a))  # bit clear, set
-    caps = (prof.rank(s - a), prof.rank(a))  # on all of Gamma, which no subset exceeds
-    return _walk_splits(setup, a, budget, seed, rows, caps)
+    return _walk_splits(setup, a, budget, seed, rows, certificate.profile.rank(a))
 
 
-def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, caps) -> CBReport:
+def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, rank_a) -> CBReport:
     """`verify_cb_all` split by split (each side as in `cb_identity`), from
-    e_{s-a}'s and e_a's rows on Gamma and their ranks: each sorted mask is a
-    leaf of a binary trie on bits n-1 .. 0, walked with two echelon bases
-    (`linalg.insert`), of the degree-a rows of Gamma' (the mask's points) and
-    the degree-(s-a) rows of Gamma'' (the rest); a mask keeps the rows of the
-    high bits it shares with the one before and inserts one per other bit."""
+    e_{s-a}'s and e_a's rows on Gamma and rank e_a: each mask ranks the
+    degree-a rows of Gamma' (its points) and the degree-(s-a) rows of
+    Gamma'' (the rest) with `linalg.rank`, sharing nothing with other masks."""
     n = setup.n
     total = 1 << n
     exhaustive = total <= budget
@@ -143,25 +140,14 @@ def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, caps) -> 
         while len(picked) < splits:
             picked.add(rng.randrange(total))
         masks = sorted(picked)
-    field = setup.gamma.field
-    bases, violations = ([], []), []
-    levels = []  # per decided bit from n-1 down: (its basis, size before it)
+    field, violations = setup.gamma.field, []
     for mask in masks:
-        keep = n - (mask ^ prev).bit_length() if levels else 0  # shared bits
-        for basis, size in levels[keep:]:
-            del basis[size:]  # pop what the unshared bits inserted
-        del levels[keep:]
-        for b in range(n - 1 - keep, -1, -1):
-            side = mask >> b & 1
-            basis = bases[side]
-            levels.append((basis, len(basis)))
-            if len(basis) < caps[side]:
-                insert(basis, rows[side][b], field)
-        lhs = caps[1] - len(bases[1])
-        rhs = n - mask.bit_count() - len(bases[0])
+        outside, inside = ([row for i, row in enumerate(side) if (mask >> i & 1) == bit]
+                           for bit, side in enumerate(rows))
+        lhs = rank_a - rank(inside, field)
+        rhs = len(outside) - rank(outside, field)
         if lhs != rhs:
             violations.append((mask, lhs, rhs))
-        prev = mask
     return CBReport(a, len(masks), tuple(violations), exhaustive, seed)
 
 

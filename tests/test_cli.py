@@ -97,6 +97,18 @@ def test_points_two_conic(write, capsys):
     assert lines[4] == "expected=4 found=4 split=true smooth=true"
 
 
+@pytest.mark.parametrize("gap", ["\t", " \t "])
+def test_whitespace_after_a_directive(write, capsys, gap):
+    """A tab, or a run of blanks and tabs, after `field`, `vars` or `poly`
+    separates the directive as one space does: the same points and
+    validation line."""
+    expected = run(capsys, ["points", write(TWO_CONIC), "--require-ci"])
+    text = TWO_CONIC.replace("field ", "field" + gap).replace("vars ", "vars" + gap)
+    text = text.replace("poly ", "poly" + gap)
+    assert run(capsys, ["points", write(text, "gaps.txt"), "--require-ci"]) == expected
+    assert expected[0] == 0
+
+
 def test_points_rm3(write, capsys):
     code, out = run(capsys, ["points", write(RM3)])
     assert code == 0
@@ -226,6 +238,8 @@ LONG = "9" * 5000  # more digits than Python 3.11+ converts by default
                  id="two-field-lines"),
     pytest.param("vars m=2\nfield p=5 e=1\nvars m=2", "more than one 'vars' line",
                  id="two-vars-lines"),
+    pytest.param("field p=5 e=1\nvars 1", "expected key=value, got '1'", id="vars-no-key"),
+    pytest.param("field p=5 e 1\nvars m=2", "expected key=value, got 'e'", id="field-no-equals"),
 ])
 def test_bad_header_integer_exit_2(write, capsys, header, message):
     code = main(["points", write(f"{header}\npoly x0\npoly x1 - x0\n")])

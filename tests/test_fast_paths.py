@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import comb
 from unittest.mock import patch
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cicodes import (
@@ -52,6 +53,7 @@ from cicodes import (
 )
 from cicodes import theorems
 from cicodes.code import _bound_gain, _walk, evaluation_matrix
+from cicodes.errors import NonHomogeneousError
 from cicodes.geometry import PointSet, enumerate_projective
 from cicodes.linalg import insert, nullspace, rank, rref
 from cicodes.poly import monomials_of_degree, poly_text
@@ -236,6 +238,25 @@ def test_line_values_examples_cover_the_cut_cases():
     assert along(*LINE_EXAMPLES[2]) == list(range(9))
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_a_cancelled_group_compiles_to_nothing(q):
+    """x0*x1^q - x0*x1 has one group, k = 1 once x1^q is reduced to x1, whose
+    c_1 = x0 - x0 cancels: it compiles to no group and no index, and is q
+    zeros on every line, as each point's value says.  Only a polynomial that
+    is not homogeneous has such a group (equal k and equal other exponents
+    mean equal terms), so the cut with x1 still refuses it before compiling."""
+    field = CI_FIELDS[q]
+    poly = parse(f"x0*x1^{q} - x0*x1", 1, field)
+    line = field.line_terms(poly.terms)
+    assert line == ()
+    for base in ((0,), (1,)):
+        assert (field.line_values(line, base) == [0] * q
+                == [field.value(field.log_terms(poly.terms), base + (t,)) for t in range(q)])
+    with pytest.raises(NonHomogeneousError) as refusal:
+        variety_points([poly, parse("x1", 1, field)], 1, field)
+    assert str(refusal.value) == f"not homogeneous: {poly}"
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=sparse_forms())
 @example(case=(5, 2, ["x0*x1 - x1^2", "x0^2 - x1^2"]))  # no x_m; (0:0:1) on Gamma
@@ -414,10 +435,9 @@ def verify_cb_all_reference(setup, a, budget, seed):
 
 
 def walk_splits(setup, a, budget=10 ** 5, seed=0):
-    """The split walk alone, from the rows and ranks verify_cb_all hands it."""
+    """The split walk alone, from the rows and the rank verify_cb_all hands it."""
     rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (setup.s - a, a))
-    caps = tuple(rank(r, setup.gamma.field) for r in rows)
-    return theorems._walk_splits(setup, a, budget, seed, rows, caps)
+    return theorems._walk_splits(setup, a, budget, seed, rows, rank(rows[1], setup.gamma.field))
 
 
 def certified_reference(setup, a):
@@ -563,10 +583,23 @@ def test_cb_certificate_covers_complete_intersections(monkeypatch):
     assert walks == []
 
 
+def test_walk_covers_every_split_of_a_complete_intersection():
+    """The walk alone, with no certificate, on all 2^9 = 512 splits of RM(3,2)
+    (s = 3) at every degree 0..s: the identity holds on each, and the report
+    is the per-split path's."""
+    polys, spec = reed_muller_ci(3, 2)
+    setup = ci_setup(polys, spec.m, spec.field)
+    assert (setup.n, setup.s) == (9, 3)
+    for a in range(setup.s + 1):
+        walked = walk_splits(setup, a, budget=512)
+        assert (walked.splits_checked, walked.exhaustive, walked.violations) == (512, True, ())
+        assert walked == verify_cb_all_reference(setup, a, 512, 0)
+
+
 def test_cb_sweep_deeper_than_recursion_limit():
-    """The walk keeps its own stack: n points nest n levels deep.  Its
-    certificate certifies nothing and holds rank e_0 = 1, which is all the
-    walk reads at a = s = 0."""
+    """More points than the recursion limit: the walk ranks each split on its
+    own and never recurses.  Its certificate certifies nothing and holds
+    rank e_0 = 1, which is all the walk reads of it at a = s = 0."""
     gamma = enumerate_projective(2, field_new(37, 1))
     n = len(gamma)
     assert n > sys.getrecursionlimit()

@@ -122,14 +122,14 @@ def test_cb_split_count_is_splits_checked(two_conic, budget):
 
 @pytest.mark.parametrize("limit,at,text", [
     ("MAX_MATRIX_ENTRIES", 16, "build more than 15 evaluation-matrix entries"),  # 4 * (1 + 3)
-    ("MAX_ELIMINATION_WORK", 288, "take more than 287 field operations to eliminate"),
+    ("MAX_ELIMINATION_WORK", 576, "take more than 575 field operations to eliminate"),
 ], ids=["entries", "work"])
 def test_walk_limits_refuse_before_the_matrices(f5, monkeypatch, limit, at, text):
     """Four points of the line x0 = 0 with s = 1, no CI, so degree 0 is walked:
-    e_0 and e_1 hold 4 * (1 + 3) entries, and the 2^5 inserts of all 16 splits
-    into a basis of at most 3 rows of 3 entries take 288 operations.  One past
-    either limit is refused with one line before either matrix is built; at
-    the limit the walk runs."""
+    e_0 and e_1 hold 4 * (1 + 3) entries, and the 4 inserts of each of the 16
+    splits into a basis of at most 3 rows of 3 entries take 576 operations.
+    One past either limit is refused with one line before either matrix is
+    built; at the limit the walk runs."""
     setup = theorems.CISetup(PointSet(((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)), 2, f5),
                              (), 1)
     certificate = certify(setup, 0)
@@ -183,9 +183,8 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
 
     monkeypatch.setattr(code, "_monomial_row", counted)
     rows = tuple(code.evaluation_matrix(setup.gamma, b).rows for b in (3, 2))
-    caps = tuple(rank(r, spec.field) for r in rows)
     assert len(built) == 32
-    assert theorems._walk_splits(setup, 2, 1, 0, rows, caps).violations == ()
+    assert theorems._walk_splits(setup, 2, 1, 0, rows, rank(rows[1], spec.field)).violations == ()
     assert len(built) == 32
     built.clear()
     monkeypatch.setattr(theorems, "rank", counted_rank)
