@@ -71,26 +71,22 @@ class CBReport(namedtuple("CBReport", "degree splits_checked violations exhausti
 
 
 def cb_split_count(n: int, budget: int) -> int:
-    """The splits `verify_cb_all` checks on n points: all 2^n within the
-    budget, else a sample of max(budget, 2n + 2) (at most 2^n) masks."""
+    """The splits `verify_cb_all` checks on n points: all 2^n (exhaustive) within
+    the budget, else max(budget, 2n + 2) of them, a sample only if that is below 2^n."""
     total = 1 << n
     return total if total <= budget else min(total, max(budget, 2 * n + 2))
 
 
-CBCertificate = namedtuple("CBCertificate", "profile certified")  # certified(a) -> bool
-
-
-def cb_certificate(setup: CISetup) -> CBCertificate:
-    """One `profile` and one `is_cb_scheme`.  Degree a is certified, every split
-    holding, if rank e_a + rank e_{s-a} = n and, for 0 <= a <= s, rank e_s = n - 1
-    (so s = sigma: ranks of points rise strictly to n, and the profile's top is
-    C_s) and e_s's one relation lambda has no zero entry: R_s = R_a R_{s-a}, so
-    e_a^T diag(lambda) spans e_{s-a}'s left kernel (outside [0, s] one map is 0,
-    the other injective)."""
+def cb_certificate(setup: CISetup):
+    """The predicate certified(a), from one `profile` and one `is_cb_scheme`.  Degree a
+    is certified, every split holding, if rank e_a + rank e_{s-a} = n and, for
+    0 <= a <= s, rank e_s = n - 1 (so s = sigma: ranks of points rise strictly to n,
+    and the profile's top is C_s) and e_s's one relation lambda has no zero entry:
+    R_s = R_a R_{s-a}, so e_a^T diag(lambda) spans e_{s-a}'s left kernel (outside
+    [0, s] one map is 0, the other injective)."""
     n, s, prof = setup.n, setup.s, profile(setup.gamma)
     one_relation = prof.rank(s) == n - 1 and is_cb_scheme(prof)
-    return CBCertificate(prof, lambda a: prof.rank(a) + prof.rank(s - a) == n
-                         and (not 0 <= a <= s or one_relation))
+    return lambda a: prof.rank(a) + prof.rank(s - a) == n and (not 0 <= a <= s or one_relation)
 
 
 def _check_matrices(setup: CISetup, a: int, degrees, inserts: int) -> None:
@@ -109,46 +105,27 @@ def _check_matrices(setup: CISetup, a: int, degrees, inserts: int) -> None:
 
 
 def verify_cb_all(setup: CISetup, a: int, budget: int = 10 ** 5, seed: int = 0, *,
-                  certificate: CBCertificate) -> CBReport:
-    """The identity over all subset splits, or a seeded sample when 2^n > budget (sizes
-    0, 1, n-1, n always); walked unless `certificate` (for degrees holding a) certifies a.
-    A walk builds e_a and e_{s-a}, then ranks each split's n rows on their own:
-    `_check_matrices` refuses it first if n inserts per split are too much."""
-    n, s = setup.n, setup.s
+                  certificate) -> CBReport:
+    """The identity over the `cb_split_count` splits: all 2^n, or a seeded sample
+    holding sizes 0, 1, n-1 and n.  Unless `certificate(a)` holds, which covers every
+    split, each mask is checked by `cb_identity`, which ranks Gamma', Gamma'' and all
+    of Gamma: `_check_matrices` refuses first if 2n inserts per split are too much."""
+    n, total = setup.n, 1 << setup.n
     splits = cb_split_count(n, budget)
-    if certificate.certified(a):
-        return CBReport(a, splits, (), 1 << n <= budget, seed)
-    _check_matrices(setup, a, (a, s - a), n * splits)
-    rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (s - a, a))  # bit clear, set
-    return _walk_splits(setup, a, budget, seed, rows, certificate.profile.rank(a))
-
-
-def _walk_splits(setup: CISetup, a: int, budget: int, seed: int, rows, rank_a) -> CBReport:
-    """`verify_cb_all` split by split (each side as in `cb_identity`), from
-    e_{s-a}'s and e_a's rows on Gamma and rank e_a: each mask ranks the
-    degree-a rows of Gamma' (its points) and the degree-(s-a) rows of
-    Gamma'' (the rest) with `linalg.rank`, sharing nothing with other masks."""
-    n = setup.n
-    total = 1 << n
-    exhaustive = total <= budget
+    if certificate(a):
+        return CBReport(a, splits, (), splits == total, seed)
+    _check_matrices(setup, a, (a, setup.s - a), 2 * n * splits)
     masks = range(total)  # walked lazily, never listed
-    if not exhaustive:
+    if splits < total:
         rng = random.Random(seed)
         singles = [1 << i for i in range(n)]
         picked = {0, total - 1, *singles, *(total - 1 - x for x in singles)}  # sizes 0, n, 1, n-1
-        splits = cb_split_count(n, budget)
         while len(picked) < splits:
             picked.add(rng.randrange(total))
         masks = sorted(picked)
-    field, violations = setup.gamma.field, []
-    for mask in masks:
-        outside, inside = ([row for i, row in enumerate(side) if (mask >> i & 1) == bit]
-                           for bit, side in enumerate(rows))
-        lhs = rank_a - rank(inside, field)
-        rhs = len(outside) - rank(outside, field)
-        if lhs != rhs:
-            violations.append((mask, lhs, rhs))
-    return CBReport(a, len(masks), tuple(violations), exhaustive, seed)
+    sides = ((mask, *cb_identity(setup, a, setup.gamma.subset_mask(mask))) for mask in masks)
+    violations = tuple((mask, lhs, rhs) for mask, lhs, rhs in sides if lhs != rhs)
+    return CBReport(a, len(masks), violations, splits == total, seed)
 
 
 def _every_subset_has_rank(rows, size, target, field) -> bool:

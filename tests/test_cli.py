@@ -568,6 +568,19 @@ def test_cb_two_conic(write, capsys):
         assert line == f"a={a} splits=16 exhaustive=true violations=0"
 
 
+# three points of P^1 over F_5: their 2^3 = 8 splits are no more than 2n + 2
+THREE_POINTS = "field p=5 e=1\nvars m=1\npoly x1^3 - x0^2*x1\n"
+
+
+@pytest.mark.parametrize("budget", ["1", "7", "8"])
+def test_cb_sample_of_every_split_is_exhaustive(write, capsys, budget):
+    """Below 2^3 the budget still asks for max(budget, 2n + 2) = 8 masks, all
+    of them, so each report counts 8 splits and says they are exhaustive."""
+    argv = ["cb", write(THREE_POINTS), "--degrees", "0..2", "--budget", budget]
+    assert run(capsys, argv) == (0, "seed=0\n" + "".join(
+        f"a={a} splits=8 exhaustive=true violations=0\n" for a in range(3)))
+
+
 @pytest.mark.parametrize("degrees", ["5..2", "3..2", "0..-1"])
 def test_cb_empty_degree_range_exit_2(write, capsys, degrees):
     code = main(["cb", write(TWO_CONIC), "--degrees", degrees])
@@ -859,8 +872,9 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
     `matrix_rank`, `point_rows`, `build_code` or `code.rref` call.  Its
     product pass grows C_{a+1} from the rows that entered C_a, so `profile`
     makes at most 1 + m * (n - 1) inserts on these sets, where x_0 = 1 at
-    every point; the CB-scheme test runs the pass again, to sigma, and a
-    second run in the same process makes as many calls of each."""
+    every point; the CB-scheme test reads the pass's last basis, so a run
+    makes exactly the inserts of one direct `profile`, and a second run in
+    the same process makes as many calls of each."""
     from cicodes import code, cohomology, theorems
     from cicodes.cli import load_variety_file
     path = str(tmp_path / "ci.txt")
@@ -884,7 +898,8 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
         monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
     assert all(pt[0] == 1 for pt in gamma)
     assert cohomology.profile(gamma).sigma == degrees - 2
-    assert 0 < counts["insert"] <= bound
+    direct = counts["insert"]
+    assert 0 < direct <= bound
     counts["insert"] = 0
     capsys.readouterr()
     outputs, inserts = [], []
@@ -897,7 +912,7 @@ def test_hilbert_eliminates_each_degree_once(capsys, tmp_path, monkeypatch,
         counts["insert"] = 0
     assert outputs[0] == outputs[1]
     assert f"sigma={degrees - 2}\n" in outputs[0]
-    assert inserts[0] <= 2 * bound
+    assert inserts[0] == direct
 
 
 def test_family_rm(write, capsys, tmp_path):

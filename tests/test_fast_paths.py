@@ -4,8 +4,9 @@ of x_m against the value at each of its points, the variety cut along the
 lines of x_m against evaluating at every point, the smoothness check on
 the Euler minor against the full Jacobian rank and point by point, the
 upward sigma scan, the truncated profile and its product pass, the
-CB-scheme relations read from that pass, the CB sweep and the combination
-walks over incremental echelon bases, rank and RREF by row insertion, the
+CB-scheme relations read from that pass, the CB certificate and the split
+sample against the identity split by split, the combination walks over
+incremental echelon bases, rank and RREF by row insertion, the
 one codeword walk against encoding each message, the minimum distance
 folded over it, and the Brouwer-Zimmermann search and column count against
 its weights."""
@@ -416,7 +417,7 @@ def verify_cb_all_reference(setup, a, budget, seed):
     n = setup.n
     total = 1 << n
     if total <= budget:
-        masks, exhaustive = range(total), True
+        masks = range(total)
     else:
         rng = random.Random(seed)
         picked = {0, total - 1}
@@ -425,19 +426,18 @@ def verify_cb_all_reference(setup, a, budget, seed):
             picked.add((total - 1) ^ (1 << i))
         while len(picked) < budget:
             picked.add(rng.randrange(total))
-        masks, exhaustive = sorted(picked), False
+        masks = sorted(picked)
     violations = []
     for mask in masks:
         lhs, rhs = cb_identity(setup, a, setup.gamma.subset_mask(mask))
         if lhs != rhs:
             violations.append((mask, lhs, rhs))
-    return CBReport(a, len(masks), tuple(violations), exhaustive, seed)
+    return CBReport(a, len(masks), tuple(violations), len(masks) == total, seed)
 
 
 def walk_splits(setup, a, budget=10 ** 5, seed=0):
-    """The split walk alone, from the rows and the rank verify_cb_all hands it."""
-    rows = tuple(evaluation_matrix(setup.gamma, b).rows for b in (setup.s - a, a))
-    return theorems._walk_splits(setup, a, budget, seed, rows, rank(rows[1], setup.gamma.field))
+    """The split walk alone: verify_cb_all with a certificate that certifies nothing."""
+    return verify_cb_all(setup, a, budget, seed, certificate=lambda a: False)
 
 
 def certified_reference(setup, a):
@@ -474,6 +474,7 @@ NO_RELATION = ([7, 8, 11, 16, 22, 24], 2, 1)
 @example(q=4, picks=list(range(0, 18, 2)), s=2, a=1, budget=1000, seed=0)  # F_4
 @example(q=9, picks=list(range(12)), s=3, a=1, budget=1000, seed=2)  # deep prefixes
 @example(q=5, picks=GRID_3X3 + [0], s=3, a=2, budget=7, seed=3)  # budget < 2n+2
+@example(q=5, picks=[0, 1, 2], s=1, a=0, budget=7, seed=0)  # budget < 2^n = 2n+2: exhaustive
 @example(q=5, picks=GRID_3X3, s=3, a=2, budget=40, seed=1)  # certified, sampled
 @example(q=5, picks=ZERO_IN_RELATION[0], s=ZERO_IN_RELATION[1], a=ZERO_IN_RELATION[2],
          budget=1000, seed=0)
@@ -491,7 +492,7 @@ def test_cb_sweep_matches_per_split_identity(q, picks, s, a, budget, seed):
     setup = CISetup(space.subset(i % len(space) for i in picks), (), s)
     reference = verify_cb_all_reference(setup, a, budget, seed)
     walked = walk_splits(setup, a, budget, seed)
-    with patch.object(theorems, "_walk_splits", wraps=theorems._walk_splits) as walk:
+    with patch.object(theorems, "_check_matrices", wraps=theorems._check_matrices) as walk:
         assert verify_cb_all(setup, a, budget, seed,
                              certificate=certify(setup, a)) == walked == reference
     certified = certified_reference(setup, a)
@@ -533,7 +534,7 @@ def test_one_certificate_decides_its_whole_window(q, picks, s, ends, budget, see
     lo, hi = sorted(min(e - 2, s + 2) for e in ends)
     window = range(lo, hi + 1)
     certificate = cb_certificate(setup)
-    with patch.object(theorems, "_walk_splits", wraps=theorems._walk_splits) as walk:
+    with patch.object(theorems, "_check_matrices", wraps=theorems._check_matrices) as walk:
         for a in window:
             assert (verify_cb_all(setup, a, budget, seed, certificate=certificate)
                     == verify_cb_all_reference(setup, a, budget, seed))
@@ -541,14 +542,15 @@ def test_one_certificate_decides_its_whole_window(q, picks, s, ends, budget, see
 
 
 def counted_walks(monkeypatch):
-    """The degrees verify_cb_all walks from now on, in call order."""
-    walks, walk = [], theorems._walk_splits
+    """The degrees verify_cb_all walks from now on, in call order: it checks
+    a walk's matrices once per walked degree, and a certified degree's never."""
+    walks, walk = [], theorems._check_matrices
 
     def counted(*args):
         walks.append(args[1])
         return walk(*args)
 
-    monkeypatch.setattr(theorems, "_walk_splits", counted)
+    monkeypatch.setattr(theorems, "_check_matrices", counted)
     return walks
 
 
@@ -598,13 +600,11 @@ def test_walk_covers_every_split_of_a_complete_intersection():
 
 def test_cb_sweep_deeper_than_recursion_limit():
     """More points than the recursion limit: the walk ranks each split on its
-    own and never recurses.  Its certificate certifies nothing and holds
-    rank e_0 = 1, which is all the walk reads of it at a = s = 0."""
+    own and never recurses.  Its certificate certifies nothing."""
     gamma = enumerate_projective(2, field_new(37, 1))
     n = len(gamma)
     assert n > sys.getrecursionlimit()
-    certificate = theorems.CBCertificate(CohomologyProfile(gamma, (1,), ()), lambda a: False)
-    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1, certificate=certificate)
+    report = verify_cb_all(CISetup(gamma, (), 0), 0, budget=1, certificate=lambda a: False)
     # In degree 0 only the empty mask and the single points miss the identity.
     assert report.splits_checked == 2 * n + 2
     assert report.violations == ((0, 1, n - 1),) + tuple(

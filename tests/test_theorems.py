@@ -122,28 +122,32 @@ def test_cb_split_count_is_splits_checked(two_conic, budget):
 
 @pytest.mark.parametrize("limit,at,text", [
     ("MAX_MATRIX_ENTRIES", 16, "build more than 15 evaluation-matrix entries"),  # 4 * (1 + 3)
-    ("MAX_ELIMINATION_WORK", 576, "take more than 575 field operations to eliminate"),
+    ("MAX_ELIMINATION_WORK", 1152, "take more than 1151 field operations to eliminate"),
 ], ids=["entries", "work"])
 def test_walk_limits_refuse_before_the_matrices(f5, monkeypatch, limit, at, text):
     """Four points of the line x0 = 0 with s = 1, no CI, so degree 0 is walked:
-    e_0 and e_1 hold 4 * (1 + 3) entries, and the 4 inserts of each of the 16
-    splits into a basis of at most 3 rows of 3 entries take 576 operations.
-    One past either limit is refused with one line before either matrix is
-    built; at the limit the walk runs."""
+    e_0 and e_1 hold 4 * (1 + 3) entries, and the 8 inserts of each of the 16
+    splits (Gamma', Gamma'' and all of Gamma ranked by `cb_identity`) into a
+    basis of at most 3 rows of 3 entries take 1,152 operations.  One past
+    either limit is refused with one line before any point row is built; at
+    the limit the walk runs, and each split ranks its three point sets, with
+    no evaluation matrix built."""
+    from cicodes import cohomology
     setup = theorems.CISetup(PointSet(((0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)), 2, f5),
                              (), 1)
     certificate = certify(setup, 0)
-    assert not certificate.certified(0)
-    built, matrix = [], theorems.evaluation_matrix
-    monkeypatch.setattr(theorems, "evaluation_matrix",
-                        lambda gamma, b: built.append(b) or matrix(gamma, b))
+    assert not certificate(0)
+    built, point_rows = [], cohomology.point_rows
+    monkeypatch.delattr(theorems, "evaluation_matrix")
+    monkeypatch.setattr(cohomology, "point_rows",
+                        lambda gamma, b: built.append(b) or point_rows(gamma, b))
     monkeypatch.setattr(theorems, limit, at - 1)
     with pytest.raises(SpaceTooLargeError) as refusal:
         verify_cb_all(setup, 0, certificate=certificate)
     assert (str(refusal.value), built) == (f"degree 0 would {text}", [])
     monkeypatch.setattr(theorems, limit, at)
     assert verify_cb_all(setup, 0, certificate=certificate).violations
-    assert built == [1, 0]
+    assert sorted(built) == [0] * 32 + [1] * 16
 
 
 def test_projection_injectivity_two_conic(two_conic):
@@ -161,12 +165,12 @@ def test_projection_injectivity_vacuous(two_conic):
 
 
 def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
-    """verify_cb_all, its split walk and verify_projection_injectivity rank
-    the point rows they already built: on RM(4,2) (16 points, s = 5) at a = 2,
-    the walk builds e_3's and e_2's 16 rows each, the certificate that
-    replaces it none, since it reads every rank and e_5's relation from the
-    product pass, and calls no `linalg.rank`, and the injectivity check
-    builds e_2's 16, where ranking them again through rank_e built 56 and 26."""
+    """verify_cb_all's certificate and verify_projection_injectivity rank the
+    point rows they already built: on RM(4,2) (16 points, s = 5) at a = 2,
+    the certificate builds none, since it reads every rank and e_5's relation
+    from the product pass, and calls no `linalg.rank`, and the injectivity
+    check builds e_2's 16, where ranking them again through rank_e built 56
+    and 26."""
     from cicodes import code, cohomology
     from cicodes.linalg import rank
     polys, spec = reed_muller_ci(4, 2)
@@ -182,11 +186,6 @@ def test_sweeps_rank_the_point_rows_they_build(monkeypatch):
         return rank(rows, field)
 
     monkeypatch.setattr(code, "_monomial_row", counted)
-    rows = tuple(code.evaluation_matrix(setup.gamma, b).rows for b in (3, 2))
-    assert len(built) == 32
-    assert theorems._walk_splits(setup, 2, 1, 0, rows, rank(rows[1], spec.field)).violations == ()
-    assert len(built) == 32
-    built.clear()
     monkeypatch.setattr(theorems, "rank", counted_rank)
     monkeypatch.setattr(cohomology, "matrix_rank", counted_rank)
     assert verify_cb_all(setup, 2, budget=1, certificate=certify(setup, 2)).violations == ()
