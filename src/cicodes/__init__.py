@@ -21,15 +21,12 @@ from .code import (
     column_distance,
     evaluation_matrix,
     min_distance,
-    rank_and_kernel,
     weight_distribution,
 )
 from .cohomology import (
     CohomologyProfile,
     h0,
     h1,
-    hilbert_function,
-    imposes_independent_conditions,
     profile,
     rank_e,
     sigma,

@@ -146,10 +146,10 @@ def cmd_cb(args) -> int:
     degrees = _parse_degree_range(args.degrees)
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
-    vf = load_variety_file(args.file)
-    setup = ci_setup(vf.polys, vf.m, vf.field)
     if degrees[MAX_DEGREES:]:  # a slice, as len() overflows
         raise ValueError(f"degrees {args.degrees} lists more than {MAX_DEGREES} degrees")
+    vf = load_variety_file(args.file)
+    setup = ci_setup(vf.polys, vf.m, vf.field)
     certificate = cb_certificate(setup)
     print(f"seed={args.seed}")
     for a in degrees:

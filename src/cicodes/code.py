@@ -11,8 +11,8 @@ from math import comb
 from .errors import (CapExceededError, FieldMismatchError, NoNormalizerFoundError,
                      NormalizerVanishesError)
 from .geometry import PointSet
-from .linalg import nullspace, rref
-from .poly import Polynomial, monomial_count, monomials_of_degree
+from .linalg import rref
+from .poly import Polynomial, monomials_of_degree
 
 DEFAULT_CAP = 1 << 22
 F0_SEED = 0  # seed of choose_f0's random search
@@ -38,24 +38,12 @@ def point_rows(gamma: PointSet, a: int):
     return (_monomial_row(pt, terms, field) for pt in gamma)
 
 
-class EvalMatrix(namedtuple("EvalMatrix", "rows degree m field")):
-    """Matrix of e_a: rows indexed by points, columns by degree-a monomials."""
-
-    __slots__ = ()
-
-    @property
-    def ncols(self):
-        return monomial_count(self.m, self.degree)
+# Matrix of e_a: rows indexed by points, columns by degree-a monomials.
+EvalMatrix = namedtuple("EvalMatrix", "rows degree m field")
 
 
 def evaluation_matrix(gamma: PointSet, a: int) -> EvalMatrix:
     return EvalMatrix(tuple(point_rows(gamma, a)), a, gamma.m, gamma.field)
-
-
-def rank_and_kernel(matrix: EvalMatrix):
-    """Rank of e_a plus a basis of its kernel (degree-a piece of the ideal)."""
-    kernel = nullspace(matrix.rows, matrix.field, matrix.ncols)
-    return matrix.ncols - len(kernel), kernel
 
 
 def choose_f0(gamma: PointSet, a: int) -> Polynomial:

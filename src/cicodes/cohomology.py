@@ -37,13 +37,6 @@ def h1(gamma: PointSet, a: int) -> int:
     return len(gamma) - rank_e(gamma, a)
 
 
-def imposes_independent_conditions(gamma: PointSet, a: int) -> bool:
-    return h1(gamma, a) == 0
-
-
-hilbert_function = rank_e  # dim (R/I_Gamma)_a = rank(e_a); 0 for a < 0
-
-
 def sigma(gamma: PointSet) -> int:
     """Largest a with h1 > 0, or -1, from `profile`'s upward scan."""
     return profile(gamma).sigma

@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over F_q: rank, RREF, nullspace.
+"""Dense exact linear algebra over F_q: rank and RREF.
 
 Matrices are lists of rows; rows are lists of element encodings.
 Everything here is desk scale, so plain Gaussian elimination is enough.
@@ -53,16 +53,3 @@ def rref(rows, field: Field):
         insert(reduced, row, field)
     reduced.reverse()
     return [row for _, row in reduced], [c for c, _ in reduced]
-
-
-def nullspace(rows, field: Field, ncols: int):
-    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    red, pivots = rref(rows, field)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = field.neg(row[fc])  # pivot row: x_pc + sum over free cols = 0
-        basis.append(v)
-    return basis

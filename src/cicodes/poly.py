@@ -55,10 +55,6 @@ class Polynomial:
     # -- constructors --
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars)
-
-    @classmethod
     def constant(cls, field, nvars, value):
         return cls(field, nvars, {(0,) * nvars: value})
 

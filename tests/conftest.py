@@ -9,11 +9,26 @@ from cicodes import (
     parse,
     reed_muller_ci,
 )
+from cicodes.linalg import rref
 
 
 def certify(setup, a):
     """A `verify_cb_all` certificate, which serves degree a as every other."""
     return cb_certificate(setup)
+
+
+def nullspace(rows, field, ncols):
+    """Basis of the right kernel {v : M v = 0}, one vector per free column:
+    the tests' reference kernel, read off the RREF."""
+    red, pivots = rref(rows, field)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = field.neg(row[fc])  # pivot row: x_pc + sum over free cols = 0
+        basis.append(v)
+    return basis
 
 
 @pytest.fixture(scope="session")

@@ -599,6 +599,16 @@ def test_cb_budget_below_1_exit_2(write, capsys, budget):
     assert captured.err == f"error: --budget must be at least 1, got {budget}\n"
 
 
+def test_cb_degree_range_refused_before_the_file(capsys, tmp_path):
+    """More than 10^7 degrees are refused from argv alone: the missing file is
+    never opened, as a large one would never be cut."""
+    code = main(["cb", str(tmp_path / "missing.txt"), "--degrees", "0..100000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: degrees 0..100000000 lists more than 10000000 degrees\n"
+
+
 @pytest.mark.parametrize("family,degrees", [
     (("rm", "--q", "3", "--m", "2"), "0..100000000"),  # 9 points, a huge range
     (("rs", "--q", "4096"), "1"),  # 4,096 points: the pass may hold 4,096^2 entries

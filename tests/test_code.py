@@ -15,7 +15,6 @@ from cicodes import (
     field_new,
     min_distance,
     parse,
-    rank_and_kernel,
     reed_muller_ci,
     variety_points,
     weight_distribution,
@@ -24,6 +23,8 @@ from cicodes.code import _point_row
 from cicodes.errors import (CapExceededError, FieldMismatchError, NoNormalizerFoundError,
                             NormalizerVanishesError)
 from cicodes.geometry import PointSet
+from cicodes.poly import monomial_count
+from conftest import nullspace
 
 
 # -- oracles --
@@ -76,6 +77,13 @@ def rm3_points(f3):
     return variety_points(polys, 2, f3)
 
 
+def rank_and_kernel(mat):
+    """Rank of e_a plus a basis of its kernel (degree-a piece of the ideal)."""
+    ncols = monomial_count(mat.m, mat.degree)
+    kernel = nullspace(mat.rows, mat.field, ncols)
+    return ncols - len(kernel), kernel
+
+
 # -- evaluation matrices --
 
 def test_matrix_two_conic_degree1(f5):
@@ -98,7 +106,7 @@ def test_matrix_degree0_all_ones(f3):
 def test_matrix_rm_degree2_full_rank(f3):
     pts = rm3_points(f3)
     mat = evaluation_matrix(pts, 2)
-    assert (len(mat.rows), mat.ncols) == (9, 6)
+    assert (len(mat.rows), len(mat.rows[0])) == (9, 6)
     r, kernel = rank_and_kernel(mat)
     assert r == 6 and not kernel
     # oracle: no nonzero conic vanishes at all 9 affine points

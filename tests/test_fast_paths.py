@@ -56,9 +56,9 @@ from cicodes import theorems
 from cicodes.code import _bound_gain, _walk, evaluation_matrix
 from cicodes.errors import NonHomogeneousError
 from cicodes.geometry import PointSet, enumerate_projective
-from cicodes.linalg import insert, nullspace, rank, rref
+from cicodes.linalg import insert, rank, rref
 from cicodes.poly import monomials_of_degree, poly_text
-from conftest import certify
+from conftest import certify, nullspace
 
 KERNEL_FIELDS = {q: field_new(p, e) for q, p, e in (
     (2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (8, 2, 3), (9, 3, 2), (16, 2, 4))}
