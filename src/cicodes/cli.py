@@ -106,7 +106,8 @@ def cmd_points(args) -> int:
     gamma = variety_points(vf.polys, vf.m, vf.field)
     # validated before any output, so a refusal leaves stdout empty
     val = validate_ci(vf.polys, gamma) if len(vf.polys) == vf.m else None
-    sys.stdout.writelines(" ".join(map(str, pt)) + "\n" for pt in gamma)
+    fmt = " ".join(["%d"] * (vf.m + 1)) + "\n"  # one format string for every point
+    sys.stdout.writelines(map(fmt.__mod__, gamma))
     if val is not None:
         print(val.line())
         if args.require_ci and not (val.split and val.smooth):
@@ -129,8 +130,8 @@ def cmd_analyze(args) -> int:
     report = verify_main_theorem(setup, a, cap=args.cap)
     print(report.line())
     if args.emit_matrix:
-        for row in report.gen:
-            print(" ".join(str(x) for x in row))
+        fmt = " ".join(["%d"] * report.n) + "\n"
+        sys.stdout.writelines(map(fmt.__mod__, report.gen))
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, groupby, product
+from itertools import chain, groupby, product, repeat
 from math import prod
+from operator import itemgetter
 
 from .errors import NonHomogeneousError, SpaceTooLargeError, WrongCountError
 from .gf import Field
@@ -105,8 +106,10 @@ def _zeros(polys, m: int, field: Field):
     """The common zeros of homogeneous polynomials in lexicographic order,
     line by line along x_m: on the line x_0..x_{m-1} = base, x_m = t, the t
     where the `Field.line_values` of every nonzero polynomial vanish, and
-    (0:...:0:1) first, as t = 1 on the line of base 0.  A generator, so that
-    `variety_points` builds its tuple with no list in between."""
+    (0:...:0:1) first, as t = 1 on the line of base 0.  A line's points come
+    from one zip of its base's repeated coordinates with its t's, so no point
+    costs a Python-level step.  A generator, so that `variety_points` builds
+    its tuple with no list in between."""
     lines = [field.line_terms(poly.terms) for poly in polys if not poly.is_zero()]
     elements = tuple(range(field.q))  # one int object per element, shared by the points
     walk = (((0,) * lead + (1,) + head, elements) for lead in range(m - 1, -1, -1)
@@ -115,8 +118,7 @@ def _zeros(polys, m: int, field: Field):
         for line in lines:
             values = field.line_values(line, base)
             ts = [t for t in ts if not values[t]]
-        for t in ts:
-            yield base + (t,)
+        yield from zip(*map(repeat, base), ts)
 
 
 class CIValidation(namedtuple("CIValidation", "degrees expected found split smooth")):
@@ -173,5 +175,5 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
         return all(matrix_rank([[values[pt[m]] for values in row] for row in lines],
                                field) == m for pt in group)
 
-    smooth = all(regular(base, group) for base, group in groupby(pts, lambda pt: pt[:m]))
+    smooth = all(regular(base, group) for base, group in groupby(pts, itemgetter(slice(0, m))))
     return CIValidation(degrees, expected, found, found == expected, smooth)

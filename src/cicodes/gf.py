@@ -207,33 +207,35 @@ class Field:
         (vacuous for q = 2, where g = 1).  The walk then multiplies by g in
         the integer encoding: mod p for e = 1; for e > 1, x -> x*g is
         F_p-linear, so x*g = lo[x mod p^k] + hi[x div p^k] with k = e // 2:
-        two tables of p^k and p^(e-k) slow products (256 each for 2^16).
+        two tables of p^k and p^(e-k) slow products (256 each for 2^16), the
+        sum inlined per kind of field, as XOR or by `add`'s digit tables.
         """
         p, e, q = self.p, self.e, self.q
         base = p ** (e // 2)
-        if p == 2:
+        primes = _prime_factors(q - 1)
+        mul = (lambda a, b: a * b % p) if e == 1 else self._mul_slow
+        g = next(g for g in range(1, q)
+                 if all(power(g, (q - 1) // r, mul, 1) != 1 for r in primes))
+        exp, x = [1], 1  # each walk inlined, with no Python call per element
+        if e > 1:
+            lo = [self._mul_slow(x, g) for x in range(base)]
+            hi = [self._mul_slow(x * base, g) for x in range(q // base)]
+        if e == 1:
+            self.add = operator.xor if p == 2 else lambda a, b: (a + b) % p
+            for _ in range(q - 2):
+                exp.append(x := x * g % p)
+        elif p == 2:
             self.add = operator.xor
-        elif e == 1:
-            self.add = lambda a, b: (a + b) % p
+            for _ in range(q - 2):
+                exp.append(x := lo[x % base] ^ hi[x // base])
         else:  # a + b = low[a_lo][b_lo] + high[a_hi][b_hi], split at p^(e//2)
             low = [[self._add_digits(a, b) for b in range(base)] for a in range(base)]
             high = [[base * self._add_digits(a, b) for b in range(q // base)]
                     for a in range(q // base)]
             self.add = lambda a, b: low[a % base][b % base] + high[a // base][b // base]
-        primes = _prime_factors(q - 1)
-        mul = (lambda a, b: a * b % p) if e == 1 else self._mul_slow
-        g = next(g for g in range(1, q)
-                 if all(power(g, (q - 1) // r, mul, 1) != 1 for r in primes))
-        if e == 1:
-            step = lambda x: x * g % p
-        else:
-            add = self.add
-            lo = [self._mul_slow(x, g) for x in range(base)]
-            hi = [self._mul_slow(x * base, g) for x in range(q // base)]
-            step = lambda x: add(lo[x % base], hi[x // base])
-        exp = [1]
-        for _ in range(q - 2):
-            exp.append(step(exp[-1]))
+            for _ in range(q - 2):
+                a, b = lo[x % base], hi[x // base]
+                exp.append(x := low[a % base][b % base] + high[a // base][b // base])
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

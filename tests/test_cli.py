@@ -413,13 +413,22 @@ def test_analyze_rm3(write, capsys):
 
 
 def test_analyze_emit_matrix(write, capsys):
-    code, out = run(capsys, ["analyze", write(TWO_CONIC), "--degree", "1",
-                             "--emit-matrix"])
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 1 + 3  # report + k=3 generator rows
-    for row in lines[1:]:
-        assert len(row.split()) == 4
+    """After the report, each generator row of the built code, its entries
+    as `" ".join(map(str, row))`: over F_5, and over F_16 with entries up to
+    15."""
+    from cicodes import verify_main_theorem
+    from cicodes.cli import load_variety_file
+    rs16 = write("", "rs16.txt")
+    assert main(["family", "rs", "--q", "16", "--out", rs16]) == 0
+    capsys.readouterr()
+    for path, degree, k in ((write(TWO_CONIC), 1, 3), (rs16, 3, 4)):
+        code, out = run(capsys, ["analyze", path, "--degree", str(degree), "--emit-matrix"])
+        assert code == 0
+        vf = load_variety_file(path)
+        report = verify_main_theorem(ci_setup(vf.polys, vf.m, vf.field), degree)
+        assert len(report.gen) == k
+        assert out == "".join(line + "\n" for line in [
+            report.line(), *(" ".join(map(str, row)) for row in report.gen)])
 
 
 @pytest.mark.parametrize("degree,flags", [("1", ()), ("0", ("--no-range-check",))])
@@ -793,6 +802,35 @@ def test_cb_from_the_pass_in_time(write, text, hi, budget, splits):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["seed=0", *(
         f"a={a} splits={splits} exhaustive=false violations=0" for a in range(hi + 1))]
+
+
+# one polynomial in P^2(F_13): not a CI, so `points` prints no validation line
+CONIC_F13 = "field p=13 e=1\nvars m=2\npoly x2^2 - x0*x1\n"
+
+
+@pytest.mark.parametrize("text,family", [
+    (P1_F127, None),  # all of P^1(F_127), (0:1) included
+    (None, ("rs", "--q", "16")),
+    (GRID_245, None),
+    (EMPTY_GAMMA, None),
+    (CONIC_F13, None),
+], ids=["p1_f127", "rs16", "grid245", "empty", "not_ci"])
+def test_points_stdout_is_the_reference_listing(capsys, write, text, family):
+    """`points` prints each point of Γ as `" ".join(map(str, pt))`, in the
+    order of `variety_points`, then the validation line if the file has m
+    polynomials: multi-digit coordinates, a point off the chart x_0 = 1, no
+    point, and a file with fewer polynomials."""
+    from cicodes.cli import load_variety_file
+    path = write(text or "")
+    if family:  # in place of the empty file
+        assert main(["family", *family, "--out", path]) == 0
+        capsys.readouterr()
+    vf = load_variety_file(path)
+    gamma = cicodes.variety_points(vf.polys, vf.m, vf.field)
+    expected = "".join(" ".join(map(str, pt)) + "\n" for pt in gamma)
+    if len(vf.polys) == vf.m:
+        expected += cicodes.validate_ci(vf.polys, gamma).line() + "\n"
+    assert run(capsys, ["points", path]) == (0, expected)
 
 
 def test_analyze_long_words_in_time(capsys, tmp_path):
