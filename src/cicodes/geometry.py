@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, groupby, product, repeat
+from itertools import groupby, product, repeat
 from math import prod
 from operator import itemgetter
 
@@ -103,18 +103,22 @@ def variety_points(polys, m: int, field: Field) -> PointSet:
 
 
 def _zeros(polys, m: int, field: Field):
-    """The common zeros of homogeneous polynomials in lexicographic order,
-    line by line along x_m: on the line x_0..x_{m-1} = base, x_m = t, the t
-    where the `Field.line_values` of every nonzero polynomial vanish, and
-    (0:...:0:1) first, as t = 1 on the line of base 0.  A line's points come
-    from one zip of its base's repeated coordinates with its t's, so no point
-    costs a Python-level step.  A generator, so that `variety_points` builds
-    its tuple with no list in between."""
+    """The common zeros of homogeneous polynomials in lexicographic order:
+    (0:...:0:1), the one point on the line of base 0, decided by `Field.value`
+    at the point itself; then line by line along x_m, on the line
+    x_0..x_{m-1} = base, x_m = t, the t where the `Field.line_values` of every
+    nonzero polynomial vanish.  A line's points come from one zip of its
+    base's repeated coordinates with its t's, so no point costs a
+    Python-level step.  A generator, so that `variety_points` builds its
+    tuple with no list in between."""
     lines = [field.line_terms(poly.terms) for poly in polys if not poly.is_zero()]
     elements = tuple(range(field.q))  # one int object per element, shared by the points
+    point = (0,) * m + (1,)
+    if not any(field.value(field.log_terms(poly.terms), point) for poly in polys):
+        yield point
     walk = (((0,) * lead + (1,) + head, elements) for lead in range(m - 1, -1, -1)
             for head in product(elements, repeat=m - 1 - lead))
-    for base, ts in chain([((0,) * m, (1,))], walk):
+    for base, ts in walk:
         for line in lines:
             values = field.line_values(line, base)
             ts = [t for t in ts if not values[t]]
@@ -156,9 +160,10 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
     sum_i x_i dF/dx_i = deg F * F then makes column j of the Jacobian a
     combination of the others where x_j != 0, so its rank is that of the
     m x m minor without the first nonzero coordinate's column.  The points
-    are grouped by x_0..x_{m-1}, the cut's lines, and each group reads its
-    minors from m^2 `Field.line_values` of the partials, compiled once by
-    `Field.line_terms`.  `ci_degrees` refuses first.
+    are grouped by x_0..x_{m-1}, the cut's lines, and each line reads its
+    minors by one transpose of m^2 `Field.line_values` of the partials,
+    compiled once by `Field.line_terms`, and ranks each as it is.
+    `ci_degrees` refuses first.
     """
     m, field = pts.m, pts.field
     degrees = ci_degrees(polys, m)
@@ -172,8 +177,8 @@ def validate_ci(polys, pts: PointSet) -> CIValidation:
                  for row in jac]
         if m == 1:  # the minor is one partial: nonzero, with no elimination
             return all(lines[0][0][pt[1]] for pt in group)
-        return all(matrix_rank([[values[pt[m]] for values in row] for row in lines],
-                               field) == m for pt in group)
+        minors = list(zip(*(zip(*row) for row in lines)))  # minors[t], as tuples of rows
+        return all(matrix_rank(minors[pt[m]], field) == m for pt in group)
 
     smooth = all(regular(base, group) for base, group in groupby(pts, itemgetter(slice(0, m))))
     return CIValidation(degrees, expected, found, found == expected, smooth)

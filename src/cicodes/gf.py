@@ -13,7 +13,7 @@ digits and by the rest.
 from __future__ import annotations
 
 import operator
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import (
     DivisionByZeroError,
@@ -87,8 +87,7 @@ def _pmul(a, b, p):
 
 def _pmod(a, b, p):
     """Remainder of a divided by monic b over F_p."""
-    a = list(a)
-    _ptrim(a)
+    a = _ptrim(list(a))
     db = len(b) - 1
     while len(a) - 1 >= db and a:
         coef = a[-1]
@@ -102,30 +101,43 @@ def _pmod(a, b, p):
 def _monic_polys(degree, p):
     """All monic polynomials of the given degree over F_p, ascending coeffs."""
     for t in range(p ** degree):
-        coeffs = []
-        v = t
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        yield coeffs
+        yield [t // p ** i % p for i in range(degree)] + [1]
 
 
-def _is_irreducible(modulus, p):
-    e = len(modulus) - 1
-    if e == 1:
-        return True
-    for deg in range(1, e // 2 + 1):
-        for div in _monic_polys(deg, p):
-            if not _pmod(modulus, div, p):
-                return False
+def _is_irreducible(f, p):
+    """Ben-Or's test: a monic f of degree e is irreducible over F_p iff
+    gcd(x^(p^i) - x, f) = 1 for i = 1..e // 2, since a factor of degree
+    d <= e / 2 divides x^(p^d) - x.  x^(p^i) mod f is the p-th power of
+    x^(p^(i-1)) mod f; Euclid makes each divisor monic for `_pmod`."""
+    h, mul = [0, 1], lambda a, b: _pmod(_pmul(a, b, p), f, p)
+    for _ in range((len(f) - 1) // 2):
+        h = power(h, p, mul, [1])
+        a, b = f, h + [0] * (2 - len(h))
+        b[1] = (b[1] - 1) % p
+        while _ptrim(b):
+            inv = pow(b[-1], -1, p)
+            a, b = b, _pmod(a, [c * inv % p for c in b], p)
+        if len(a) > 1:
+            return False
     return True
+
+
+def _digit_sums(p, n, unit):
+    """unit * (a + b, digit by digit mod p) for all a, b < p^n, as rows
+    [a][b], built one base-p digit at a time: digits d of a and d' of b at
+    place p^j add ((d + d') mod p) * unit * p^j to the table of the lower
+    j digits."""
+    table, size = [[0]], unit
+    for _ in range(n):
+        shifts = [d % p * size for d in range(2 * p - 1)]
+        table = [[x + s for s in shifts[d:d + p] for x in row]
+                 for d in range(p) for row in table]
+        size *= p
+    return table
 
 
 def _default_modulus(p, e):
     """Monic irreducible of degree e with the smallest base-p encoding."""
-    if e == 1:
-        return [0, 1]
     for cand in _monic_polys(e, p):
         if _is_irreducible(cand, p):
             return cand
@@ -176,11 +188,7 @@ class Field:
 
     def coeffs(self, x: int):
         """Base-p digits of x, ascending powers of w, length e."""
-        out = []
-        for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
-        return out
+        return [x // self.p ** i % self.p for i in range(self.e)]
 
     def encode(self, coeffs) -> int:
         x = 0
@@ -200,39 +208,49 @@ class Field:
         rem = _pmod(prod, list(self.modulus), self.p)
         return self.encode(rem)
 
+    def _span(self, images):
+        """sum_i d_i * images[i] at each index sum_i d_i * p^i, d_i < p: the
+        F_p-span of `images`, built one digit at a time by `add`."""
+        table = [0]
+        for v in images:
+            multiples = list(accumulate(repeat(v, self.p - 1), self.add, initial=0))
+            table = [self.add(x, c) for c in multiples for x in table]
+        return table
+
     def _build_tables(self):
         """exp lists the powers of the first g = 1, 2, ... of order q - 1.
 
         g passes the order test g^((q-1)/r) != 1 for every prime r | q - 1
         (vacuous for q = 2, where g = 1).  The walk then multiplies by g in
         the integer encoding: mod p for e = 1; for e > 1, x -> x*g is
-        F_p-linear, so x*g = lo[x mod p^k] + hi[x div p^k] with k = e // 2:
-        two tables of p^k and p^(e-k) slow products (256 each for 2^16), the
-        sum inlined per kind of field, as XOR or by `add`'s digit tables.
+        F_p-linear, so x*g = lo[x mod p^k] + hi[x div p^k] with k = e // 2,
+        two tables spanned by the images w^i * g, i < e: e slow products,
+        the sum inlined per kind of field, as XOR or by `add`'s digit tables.
         """
         p, e, q = self.p, self.e, self.q
-        base = p ** (e // 2)
+        k, base = e // 2, p ** (e // 2)
         primes = _prime_factors(q - 1)
         mul = (lambda a, b: a * b % p) if e == 1 else self._mul_slow
         g = next(g for g in range(1, q)
                  if all(power(g, (q - 1) // r, mul, 1) != 1 for r in primes))
-        exp, x = [1], 1  # each walk inlined, with no Python call per element
+        if p == 2:
+            self.add = operator.xor
+        elif e == 1:
+            self.add = lambda a, b: (a + b) % p
+        else:  # a + b = low[a_lo][b_lo] + high[a_hi][b_hi], split at p^(e//2)
+            low, high = _digit_sums(p, k, 1), _digit_sums(p, e - k, base)
+            self.add = lambda a, b: low[a % base][b % base] + high[a // base][b // base]
         if e > 1:
-            lo = [self._mul_slow(x, g) for x in range(base)]
-            hi = [self._mul_slow(x * base, g) for x in range(q // base)]
+            images = [self._mul_slow(p ** i, g) for i in range(e)]
+            lo, hi = self._span(images[:k]), self._span(images[k:])
+        exp, x = [1], 1  # each walk inlined, with no Python call per element
         if e == 1:
-            self.add = operator.xor if p == 2 else lambda a, b: (a + b) % p
             for _ in range(q - 2):
                 exp.append(x := x * g % p)
         elif p == 2:
-            self.add = operator.xor
             for _ in range(q - 2):
                 exp.append(x := lo[x % base] ^ hi[x // base])
-        else:  # a + b = low[a_lo][b_lo] + high[a_hi][b_hi], split at p^(e//2)
-            low = [[self._add_digits(a, b) for b in range(base)] for a in range(base)]
-            high = [[base * self._add_digits(a, b) for b in range(q // base)]
-                    for a in range(q // base)]
-            self.add = lambda a, b: low[a % base][b % base] + high[a // base][b // base]
+        else:
             for _ in range(q - 2):
                 a, b = lo[x % base], hi[x // base]
                 exp.append(x := low[a % base][b % base] + high[a // base][b // base])
@@ -244,16 +262,6 @@ class Field:
         self.multiplicative_generator = g
 
     # -- arithmetic --
-
-    def _add_digits(self, a: int, b: int) -> int:
-        p = self.p
-        x, shift = 0, 1
-        while a or b:
-            x += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return x
 
     def neg(self, a: int) -> int:
         if a == 0 or self.p == 2:  # otherwise -1 = g^((q-1)/2)

@@ -12,7 +12,9 @@ from cicodes.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
-from cicodes.gf import Field, _is_prime, _prime_factors, _prime_power, power
+from cicodes import gf
+from cicodes.gf import (Field, _default_modulus, _is_irreducible, _is_prime, _monic_polys,
+                        _pmod, _prime_factors, _prime_power, power)
 from cicodes.poly import Polynomial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2),
@@ -49,15 +51,22 @@ def oracle_mul(field, a, b):
     return x
 
 
-def oracle_add(field, a, b):
-    p, e = field.p, field.e
+def add_digits(p, a, b):
+    """a + b in the base-p encoding, digit by digit mod p."""
     x, shift = 0, 1
-    for _ in range(e):
+    while a or b:
         x += ((a + b) % p) * shift
         a //= p
         b //= p
         shift *= p
     return x
+
+
+def trial_division_irreducible(modulus, p):
+    """No monic polynomial of degree 1..e // 2 divides the modulus."""
+    e = len(modulus) - 1
+    return all(_pmod(modulus, div, p) for deg in range(1, e // 2 + 1)
+               for div in _monic_polys(deg, p))
 
 
 def oracle_neg(field, a):
@@ -166,7 +175,7 @@ def test_add_matches_oracle(p, e):
         assert f.neg(a) == oracle_neg(f, a)
     for a in range(0, f.q, step):
         for b in range(0, f.q, step):
-            assert f.add(a, b) == oracle_add(f, a, b)
+            assert f.add(a, b) == add_digits(p, a, b)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -285,7 +294,7 @@ def test_odd_extension_add_tables_match_digits():
         f = field_new(p, e)
         for a in range(f.q):
             assert [f.add(a, b) for b in range(f.q)] == \
-                [f._add_digits(a, b) for b in range(f.q)], (p, e, a)
+                [add_digits(p, a, b) for b in range(f.q)], (p, e, a)
 
 
 @pytest.mark.parametrize("p,e", [(3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (5, 5), (5, 6),
@@ -296,7 +305,7 @@ def test_odd_extension_add_sampled_above_512(p, e):
     and the largest tables, 243^2 entries each on F_3^10."""
     f, rng = field_new(p, e), random.Random(p * 100 + e)
     pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(20000)]
-    assert [f.add(a, b) for a, b in pairs] == [f._add_digits(a, b) for a, b in pairs]
+    assert [f.add(a, b) for a, b in pairs] == [add_digits(p, a, b) for a, b in pairs]
 
 
 # the corpus fields: `cicodes family rs --q 65536 | --q 6561` and the prime 65521
@@ -332,6 +341,48 @@ def test_table_build_is_few_slow_products(monkeypatch, p, e):
     monkeypatch.setattr(Field, "_mul_slow", counted)
     field_new(p, e)
     assert len(calls) <= 4096
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 8), (251, 2)])
+def test_split_tables_take_e_slow_products(monkeypatch, p, e):
+    """Beyond the order test's square-and-multiply, the split tables take
+    exactly e polynomial-remainder products: the images w^i * g, i < e."""
+    calls, in_power = [], []
+    mul_slow, order_power = Field._mul_slow, gf.power
+
+    def counted(self, a, b):
+        if not in_power:
+            calls.append((a, b))
+        return mul_slow(self, a, b)
+
+    def flagged(*args):
+        in_power.append(None)
+        try:
+            return order_power(*args)
+        finally:
+            in_power.pop()
+
+    monkeypatch.setattr(Field, "_mul_slow", counted)
+    monkeypatch.setattr(gf, "power", flagged)
+    f = field_new(p, e)
+    assert calls == [(p ** i, f.multiplicative_generator) for i in range(e)]
+
+
+def test_ben_or_agrees_with_trial_division():
+    """Ben-Or's test and trial division agree on all 4,317 monic polynomials
+    of degree e over F_p for (2, e <= 10), (3, <= 6), (5, <= 4), (7, <= 3);
+    the default modulus is the first one trial division accepts on all 93
+    fields with e >= 2 and q <= 2^16."""
+    polys = [(f, p) for p, top in ((2, 10), (3, 6), (5, 4), (7, 3))
+             for e in range(1, top + 1) for f in _monic_polys(e, p)]
+    assert len(polys) == 4317
+    assert [_is_irreducible(f, p) for f, p in polys] == \
+        [trial_division_irreducible(f, p) for f, p in polys]
+    fields = [(p, e) for p, e in _fields_up_to(1 << 16) if e > 1]
+    assert len(fields) == 93
+    for p, e in fields:
+        assert _default_modulus(p, e) == \
+            next(f for f in _monic_polys(e, p) if trial_division_irreducible(f, p)), (p, e)
 
 
 def test_power_is_repeated_mul():

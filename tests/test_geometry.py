@@ -100,7 +100,7 @@ def test_zero_polynomials_cost_the_cut_nothing():
         return points, spy.call_count
 
     alone = cut([f])
-    assert alone[1] == 1 + 7 + 1  # the line of base 0, then 7 + 1 more
+    assert alone[1] == 7 + 1  # the lines of base (1, x1) and (0, 1); (0:0:1) is one `value`
     for k in (1, 50):
         assert cut([zero] * k + [f]) == cut([f] + [zero] * k) == alone
 
