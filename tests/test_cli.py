@@ -1,6 +1,7 @@
 """CLI integration: file parsing, reports, exit codes, byte stability."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -66,12 +67,15 @@ GRID_245 = "field p=7 e=1\nvars m=3\n" + "".join(
     for i, k in ((1, 5), (2, 7), (3, 7)))
 
 
+# the environment of every child process: this checkout's `cicodes` on the path
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+
+
 def run_child(argv, timeout):
     """`python -m cicodes.cli argv` in a child process, so that a hang fails
     the test by TimeoutExpired instead of stalling the suite."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "cicodes.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=timeout)
 
 
 @pytest.fixture
@@ -149,13 +153,13 @@ def test_huge_monomial_exponent_parses_fast(write, capsys):
     assert out.splitlines()[-1].startswith("expected=2000000 found=4 ")
 
 
-def test_huge_power_of_sum_parses(write, capsys):
+def test_huge_power_of_sum_parses(write):
     """(x0 + x1)^2000000 over F_5 keeps 8 terms by Frobenius: 680,615 term
     pairs in all, under the bound."""
-    code, out = run(capsys, ["points", write("field p=5 e=1\nvars m=1\n"
-                                             "poly (x0 + x1)^2000000\n")])
-    assert code == 0
-    assert out.splitlines()[-1].startswith("expected=2000000 ")
+    proc = run_child(["points", write("field p=5 e=1\nvars m=1\npoly (x0 + x1)^2000000\n")],
+                     timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1].startswith("expected=2000000 ")
 
 
 def test_repeated_squaring_bounded_exit_2(write):
@@ -165,7 +169,7 @@ def test_repeated_squaring_bounded_exit_2(write):
     base = " + ".join(f"x0^{i}" for i in range(1, 317))
     proc = run_child(["points", write(f"field p=2 e=1\nvars m=1\n"
                                       f"poly ({base})^{2 ** 14000}\npoly x1\n")],
-                     timeout=10)
+                     timeout=5)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: product of ") and proc.stderr.count("\n") == 1
@@ -335,7 +339,7 @@ def test_closed_pipe_keeps_exit_code(write, launch, code):
     """A reader that closes stdout before the report is written, as `| head`
     may, leaves stderr empty and the exit code the command returned.  With
     stdout buffered, as it is by default, the pipe breaks at the last flush."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
+    env = dict(CHILD_ENV)
     env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen([sys.executable, *launch, "cb", write(RM3), "--degrees", "0..3"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
@@ -351,11 +355,10 @@ def test_closed_pipe_keeps_exit_code(write, launch, code):
 def test_closed_pipe_after_violation_exit_1(write):
     """With stdout unbuffered the pipe breaks inside the degree loop, once
     its reports pass the pipe buffer; a violation already read keeps exit 1."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]),
-               PYTHONUNBUFFERED="1")
     proc = subprocess.Popen([sys.executable, "-c", CB_VIOLATION, "cb", write(EMPTY_GAMMA),
                              "--degrees", "0..100000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(CHILD_ENV, PYTHONUNBUFFERED="1"))
     try:
         assert proc.stdout.readline() == "seed=0\n"
         assert proc.stdout.readline().endswith(" violations=1\n")
@@ -376,9 +379,8 @@ def test_huge_exponent_refused_without_digit_limit(write):
               "    sys.set_int_max_str_digits(0)\n"
               "from cicodes.cli import main\n"
               "sys.exit(main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, "points", path],
-                          capture_output=True, text=True, env=env, timeout=5)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=5)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == ("error: exponent='99999999999999999999'... is not an "
@@ -645,7 +647,7 @@ def test_cb_over_the_whole_window_in_time(capsys, tmp_path, family, s):
     path = str(tmp_path / "variety.txt")
     assert main(["family", *family, "--out", path]) == 0
     capsys.readouterr()
-    proc = run_child(["cb", path, "--degrees", f"0..{s}"], timeout=20)
+    proc = run_child(["cb", path, "--degrees", f"0..{s}"], timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["seed=0", *(
         f"a={a} splits=100000 exhaustive=false violations=0" for a in range(s + 1))]
@@ -703,7 +705,7 @@ def test_hilbert_work_limit_exit_2(capsys, tmp_path, q):
     path = str(tmp_path / "variety.txt")
     assert main(["family", "rs", "--q", q, "--out", path]) == 0
     capsys.readouterr()
-    proc = run_child(["hilbert", path], timeout=10)
+    proc = run_child(["hilbert", path], timeout=5)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: the product pass may hold {q}^2 > 10000000 entries\n"
@@ -775,33 +777,74 @@ P1_F127 = "field p=127 e=1\nvars m=1\npoly x0^127*x1 - x0*x1^127\n"
     (GRID_245, None, 15),  # 2.6 * 10^7
     (None, ("rs", "--q", "512"), 510),  # 6.7 * 10^7
     (P1_F127, None, 126),  # 4.5 * 10^7
-], ids=["grid245", "rs512", "p1_f127"])
+    (None, ("rs", "--q", "127"), 125),
+], ids=["grid245", "rs512", "p1_f127", "rs127"])
 def test_hilbert_from_the_pass_in_time(capsys, write, text, family, sigma):
     """Inputs whose product pass counts less than 10^8 field operations end
     in a fresh process, though a count of per-degree eliminations refused the
-    grid and RS q=512."""
+    grid and RS q=512.  On RS q=127 one elimination of e_a per degree took
+    longer than the timeout."""
     path = write(text or "")
     if family:  # in place of the empty file
         assert main(["family", *family, "--out", path]) == 0
         capsys.readouterr()
-    proc = run_child(["hilbert", path], timeout=20)
+    proc = run_child(["hilbert", path], timeout=6)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-3:] == [f"sigma={sigma}", "symmetry=pass", "cb_scheme=true"]
 
 
-@pytest.mark.parametrize("text,hi,budget,splits", [
-    (GRID_245, 16, 64, 492),  # 2 * 245 + 2 sampled splits
-    (P1_F127, 126, 100000, 100000),
-], ids=["grid245", "p1_f127"])
-def test_cb_from_the_pass_in_time(write, text, hi, budget, splits):
+@pytest.mark.parametrize("text,family,lo,hi,budget,splits", [
+    (GRID_245, None, 0, 16, 64, 492),  # 2 * 245 + 2 sampled splits
+    (P1_F127, None, 0, 126, 100000, 100000),
+    (None, ("hermitian", "--q", "3"), 2, 5, 2000, 2000),
+    (None, ("rs", "--q", "512"), 0, 510, 10, 1026),  # 2 * 512 + 2
+], ids=["grid245", "p1_f127", "herm3", "rs512"])
+def test_cb_from_the_pass_in_time(capsys, write, text, family, lo, hi, budget, splits):
     """`cb` over a window that one certificate answers, in a fresh process:
     the grid, refused while its pass was counted as per-degree eliminations,
-    and P^1(F_127), the input nearest the pass's limit that ended before."""
-    proc = run_child(["cb", write(text), "--degrees", f"0..{hi}", "--budget", str(budget)],
-                     timeout=20)
+    P^1(F_127), the input nearest the pass's limit that ended before, the
+    Hermitian curve over F_9, whose every degree e_s's one relation
+    certifies, and RS q=512, whose pass stays under the limit of 10^8."""
+    path = write(text or "")
+    if family:  # in place of the empty file
+        assert main(["family", *family, "--out", path]) == 0
+        capsys.readouterr()
+    proc = run_child(["cb", path, "--degrees", f"{lo}..{hi}", "--budget", str(budget)],
+                     timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["seed=0", *(
-        f"a={a} splits={splits} exhaustive=false violations=0" for a in range(hi + 1))]
+        f"a={a} splits={splits} exhaustive=false violations=0" for a in range(lo, hi + 1))]
+
+
+# Γ of RM(31, 3): (1:a:b:c) for all a, b, c in F_31, in product order
+RM31_3_LISTING = [f"1 {a} {b} {c}" for a, b, c in itertools.product(range(31), repeat=3)]
+
+
+@pytest.mark.parametrize("text,family,listing,last", [
+    (None, ("rs", "--q", "65536"), None, "expected=65536 found=65536 split=true smooth=true"),
+    (None, ("rs", "--q", "59049"), None, "expected=59049 found=59049 split=true smooth=true"),
+    (None, ("rm", "--q", "31", "--m", "3"), RM31_3_LISTING,
+     "expected=29791 found=29791 split=true smooth=true"),
+    (P1_F127, None, None, "expected=128 found=128 split=true smooth=true"),
+], ids=["rs65536", "rs59049", "rm31_3", "p1_f127"])
+def test_points_require_ci_in_time(capsys, write, text, family, listing, last):
+    """`points --require-ci` in a fresh process: over F_65536, where p = 2
+    divides deg F, so Euler's relation vanishes and the smoothness minor is
+    dF/dx1; over F_3^10, which adds by the largest split-digit tables; on
+    P^3(F_31), whose 993 lines along x3 each take one value of F_1 and F_2,
+    printed in full; and on all of P^1(F_127), where (0:1) is the
+    smoothness check's group of base 0."""
+    path = write(text or "")
+    if family:  # in place of the empty file
+        assert main(["family", *family, "--out", path]) == 0
+        capsys.readouterr()
+    proc = run_child(["points", path, "--require-ci"], timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == last
+    if listing is not None:  # the first line that differs: a diff of 29,792 lines takes minutes
+        mismatches = [(got, want) for got, want in zip(lines, listing) if got != want]
+        assert (len(lines), mismatches[:1]) == (len(listing) + 1, [])
 
 
 # one polynomial in P^2(F_13): not a CI, so `points` prints no validation line
@@ -833,18 +876,26 @@ def test_points_stdout_is_the_reference_listing(capsys, write, text, family):
     assert run(capsys, ["points", path]) == (0, expected)
 
 
-def test_analyze_long_words_in_time(capsys, tmp_path):
+@pytest.mark.parametrize("q,argv,line", [
+    ("6561", ["--degree", "1", "--no-range-check"],
+     "n=6561 k=2 d=6560 bound=6560 singleton=6560 mds=true mds_sufficient=true"),
+    ("256", ["--degree", "2"],
+     "n=256 k=3 d=254 bound=254 singleton=254 mds=true mds_sufficient=true"),
+    ("243", ["--degree", "2"],
+     "n=243 k=3 d=241 bound=241 singleton=241 mds=true mds_sufficient=true"),
+], ids=["rs6561", "rs256", "rs243"])
+def test_analyze_long_words_in_time(capsys, tmp_path, q, argv, line):
     """Extended RS over F_6561 at degree 1 scans q + 1 words of length q: a
     few operations on one packed int each, where a word once cost q field
-    adds (4.3 * 10^7 in all).  The child process's timeout turns a
+    adds (4.3 * 10^7 in all).  F_256 packs 8 two-bit lanes per coordinate,
+    F_243 5 three-bit lanes.  The child process's timeout turns a
     regression into a failure, not a stall."""
     path = str(tmp_path / "variety.txt")
-    assert main(["family", "rs", "--q", "6561", "--out", path]) == 0
+    assert main(["family", "rs", "--q", q, "--out", path]) == 0
     capsys.readouterr()
-    proc = run_child(["analyze", path, "--degree", "1", "--no-range-check"], timeout=20)
+    proc = run_child(["analyze", path, *argv], timeout=20)
     assert proc.returncode == 0
-    assert proc.stdout == ("n=6561 k=2 d=6560 bound=6560 singleton=6560 mds=true "
-                           "mds_sufficient=true\n")
+    assert proc.stdout == line + "\n"
 
 
 def test_analyze_dimension_2_from_columns(capsys, tmp_path):
@@ -1176,11 +1227,10 @@ def test_cli_import_loads_no_dataclasses():
     chain it pulls in, which would cost every CLI process most of the
     package's own import time, nor `argparse`.  `-S` keeps the host's .pth
     files out."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cicodes.__file__).parents[1]))
     script = ("import sys, cicodes.cli\n"
               "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
